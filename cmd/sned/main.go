@@ -60,6 +60,12 @@ func main() {
 }
 
 func run(addr string, timeout time.Duration, maxBody int64, cacheCap, cacheShards int, cacheTTL time.Duration, maxInflight int, drain time.Duration) error {
+	// Catch the stop signals before announcing the address: a supervisor
+	// may send SIGTERM as soon as it reads the "listening on" line, and
+	// that must drain the daemon, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	srv := serve.New(serve.Config{
 		MaxBodyBytes: maxBody,
 		Timeout:      timeout,
@@ -76,8 +82,6 @@ func run(addr string, timeout time.Duration, maxBody int64, cacheCap, cacheShard
 	// can discover the port without racing the log stream.
 	fmt.Fprintf(os.Stderr, "sned: listening on %s\n", bound)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "sned: %s — draining in-flight requests (budget %s)\n", got, drain)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)

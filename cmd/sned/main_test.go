@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -17,6 +20,23 @@ const smokeInstance = "nodes 5\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 4 1\n
 // boot the daemon on a free port, answer a health probe and a solve
 // query, then drain cleanly on SIGTERM.
 func TestStartQueryShutdown(t *testing.T) {
+	// run() announces its address on stderr once its signal handler is in
+	// place; the test reads that line from a pipe before sending SIGTERM,
+	// which would otherwise kill the test binary if it beat the handler.
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	defer pw.Close()
+	stderr := os.Stderr
+	os.Stderr = pw
+	defer func() { os.Stderr = stderr }()
+	ready := make(chan string, 1)
+	go func() {
+		line, _ := bufio.NewReader(pr).ReadString('\n')
+		ready <- line
+	}()
 	done := make(chan error, 1)
 	go func() {
 		done <- run("127.0.0.1:0", 10*time.Second, 1<<20, 64, 4, time.Minute, 0, 5*time.Second)
@@ -61,6 +81,14 @@ func TestStartQueryShutdown(t *testing.T) {
 
 	// Now the signal path: SIGTERM must drain the run() daemon and
 	// return nil.
+	select {
+	case line := <-ready:
+		if !strings.Contains(line, "listening on") {
+			t.Fatalf("run() announced %q", line)
+		}
+	case err := <-done:
+		t.Fatalf("run returned %v before listening", err)
+	}
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

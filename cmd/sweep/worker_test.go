@@ -50,16 +50,18 @@ func TestCoordinatorWorkerMode(t *testing.T) {
 
 // TestCoordinatorThrottle makes sure the -throttle straggler knob still
 // completes the sweep: it only slows record production, never blocks it.
+// One engine worker runs the throttle sleeps one after another whatever
+// the core count, so their sum is a lower bound on the elapsed time.
 func TestCoordinatorThrottle(t *testing.T) {
 	c, srv := testCoordinator(t, 1)
 	start := time.Now()
-	if _, err := runCLI(t, "-coordinator", srv.URL, "-throttle", "5ms"); err != nil {
+	if _, err := runCLI(t, "-coordinator", srv.URL, "-throttle", "5ms", "-workers", "1"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Status(); !st.Done {
 		t.Fatalf("throttled worker did not finish: %+v", st)
 	}
-	// 6 instances × ≥5ms throttle each.
+	// 6 instances × ≥5ms throttle each, run sequentially.
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Errorf("throttle had no effect: sweep took %s", elapsed)
 	}

@@ -146,11 +146,11 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		spec:    cfg.Spec,
-		shards:  make([]shardState, cfg.Shards),
-		leases:  map[int64]*lease{},
-		doneCh:  make(chan struct{}),
+		cfg:    cfg,
+		spec:   cfg.Spec,
+		shards: make([]shardState, cfg.Shards),
+		leases: map[int64]*lease{},
+		doneCh: make(chan struct{}),
 	}
 	c.ckpts = newStoreServer(cfg.Store)
 	c.ckpts.fence = c.fenceCheck

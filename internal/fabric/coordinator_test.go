@@ -355,11 +355,11 @@ func TestCostModelEstimates(t *testing.T) {
 		idx  int
 		want int64
 	}{
-		{2, 100},  // own observation
-		{0, 100},  // nearest is 2
-		{3, 100},  // 2 at distance 1
-		{4, 900},  // 5 at distance 1 beats 2 at 2? no — lo checked first at d=1: idx 3 unobserved, hi 5 observed
-		{7, 900},  // nearest is 5
+		{2, 100}, // own observation
+		{0, 100}, // nearest is 2
+		{3, 100}, // 2 at distance 1
+		{4, 900}, // 5 at distance 1 beats 2 at 2? no — lo checked first at d=1: idx 3 unobserved, hi 5 observed
+		{7, 900}, // nearest is 5
 	}
 	for _, tc := range cases {
 		if got := m.estimate(tc.idx); got != tc.want {

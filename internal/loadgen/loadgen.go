@@ -46,6 +46,9 @@ type Config struct {
 	Conns int
 
 	// Duration bounds the run in wall time. Default 2s when Total is 0.
+	// No request is issued after the deadline, and none is cancelled by
+	// it: requests in flight then run to completion and count as their
+	// answers say, so the window's edge adds no errors.
 	Duration time.Duration
 
 	// Total, when > 0, bounds the run in requests instead; the run stops
@@ -70,9 +73,10 @@ type Config struct {
 	// transport fails — a pooled connection died, the daemon restarted —
 	// with capped exponential backoff (10ms doubling to 500ms) between
 	// tries. HTTP-status failures are never retried: a 4xx/5xx answer is
-	// the server speaking, not the connection dying. 0 disables, so a
-	// failed send is simply an error (the strict mode the differential
-	// tests use).
+	// the server speaking, not the connection dying. Retries stop at the
+	// Duration deadline, and the request then counts as failed. 0
+	// disables, so a failed send is simply an error (the strict mode the
+	// differential tests use).
 	Reconnect int
 }
 
@@ -132,12 +136,15 @@ func Run(cfg Config) (*Result, error) {
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
 
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
+	// stop is done at the Duration deadline. It gates issuing new
+	// requests and the reconnect backoff only; requests themselves run
+	// under no deadline, so those in flight at the deadline drain.
+	stop := context.Background()
 	if cfg.Duration > 0 {
-		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
+		var cancel context.CancelFunc
+		stop, cancel = context.WithTimeout(stop, cfg.Duration)
+		defer cancel()
 	}
-	defer cancel()
 
 	var sent atomic.Int64 // tickets: worker proceeds only while < Total
 	var errs, recon atomic.Int64
@@ -151,7 +158,7 @@ func Run(cfg Config) (*Result, error) {
 			my := make([]time.Duration, 0, 1024)
 			ws := &workerScratch{body: bytes.NewReader(nil), buf: make([]byte, 4096)}
 			for i := w; ; i++ {
-				if ctx.Err() != nil {
+				if stop.Err() != nil {
 					break
 				}
 				if cfg.Total > 0 && sent.Add(int64(perOp)) > int64(cfg.Total) {
@@ -159,7 +166,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				body := cfg.Bodies[i%len(cfg.Bodies)]
 				q0 := time.Now()
-				if failed := doOne(ctx, client, &cfg, contentType, body, perOp, ws, &recon); failed > 0 {
+				if failed := doOne(stop, client, &cfg, contentType, body, perOp, ws, &recon); failed > 0 {
 					errs.Add(int64(failed))
 				}
 				my = append(my, time.Since(q0))
@@ -224,15 +231,15 @@ func (ws *workerScratch) readAll(r io.Reader) ([]byte, error) {
 // pipelined frame on the binary protocol, and (with DecodeSNE) a fully
 // decodable response on either protocol. Transport failures — a dead
 // pooled connection, a daemon mid-restart — are retried up to
-// cfg.Reconnect times with capped exponential backoff; an HTTP error
-// status is an answer and is never retried.
-func doOne(ctx context.Context, client *http.Client, cfg *Config, contentType string, body []byte, perOp int, ws *workerScratch, recon *atomic.Int64) int {
+// cfg.Reconnect times with capped exponential backoff, until stop is
+// done; an HTTP error status is an answer and is never retried.
+func doOne(stop context.Context, client *http.Client, cfg *Config, contentType string, body []byte, perOp int, ws *workerScratch, recon *atomic.Int64) int {
 	var raw []byte
 	var resp *http.Response
 	backoff := 10 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		ws.body.Reset(body)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.URL, ws.body)
+		req, err := http.NewRequest(http.MethodPost, cfg.URL, ws.body)
 		if err != nil {
 			return perOp
 		}
@@ -246,11 +253,11 @@ func doOne(ctx context.Context, client *http.Client, cfg *Config, contentType st
 				break
 			}
 		}
-		if attempt >= cfg.Reconnect || ctx.Err() != nil {
+		if attempt >= cfg.Reconnect || stop.Err() != nil {
 			return perOp
 		}
 		select {
-		case <-ctx.Done():
+		case <-stop.Done():
 			return perOp
 		case <-time.After(backoff):
 		}

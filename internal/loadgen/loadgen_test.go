@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -81,6 +82,27 @@ func TestRunCountsErrors(t *testing.T) {
 	}
 	if res.Errors != res.Requests || res.Errors == 0 {
 		t.Fatalf("misdirected run: %d errors of %d requests", res.Errors, res.Requests)
+	}
+}
+
+// TestDurationDrainsInFlight: a request still in flight at the Duration
+// deadline runs to completion and counts as its answer says. The one
+// worker's first request is held past the deadline (its handler starts
+// after the run does and sleeps longer than the run lasts), so it is the
+// only request of the run, and it succeeds.
+func TestDurationDrainsInFlight(t *testing.T) {
+	const window = 50 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(window + 20*time.Millisecond)
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(ts.Close)
+	res, err := Run(Config{URL: ts.URL, Bodies: [][]byte{[]byte("{}")}, Workers: 1, Duration: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 1 || res.Errors != 0 {
+		t.Fatalf("%d requests, %d errors; want the blocked request counted and 0 errors", res.Requests, res.Errors)
 	}
 }
 

@@ -192,6 +192,39 @@ func TestPanicsOnInvalidInput(t *testing.T) {
 	}
 }
 
+// TestSettersValidateLikeBuilders holds SetRHS to AddRow and
+// SetUpperBound to AddVar: each value must panic in the setter exactly
+// when it panics in the builder, and otherwise be stored as the builder
+// stores it (bounds above 1e100 read as +∞).
+func TestSettersValidateLikeBuilders(t *testing.T) {
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return false
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300, 0, 2.5, 1e100, 1e101, math.MaxFloat64} {
+		built, patched := NewModel(), NewModel()
+		patched.AddVar(0, 1)
+		patched.AddRow(nil, nil, GE, 0)
+		addVar := panics(func() { built.AddVar(0, v) })
+		setUB := panics(func() { patched.SetUpperBound(0, v) })
+		if addVar != setUB {
+			t.Errorf("ub %v: AddVar panics=%v, SetUpperBound panics=%v", v, addVar, setUB)
+		}
+		if !addVar && math.Float64bits(built.ub[0]) != math.Float64bits(patched.ub[0]) {
+			t.Errorf("ub %v: AddVar stored %v, SetUpperBound %v", v, built.ub[0], patched.ub[0])
+		}
+		addRow := panics(func() { built.AddRow(nil, nil, GE, v) })
+		setRHS := panics(func() { patched.SetRHS(0, v) })
+		if addRow != setRHS {
+			t.Errorf("rhs %v: AddRow panics=%v, SetRHS panics=%v", v, addRow, setRHS)
+		}
+		if !addRow && math.Float64bits(built.rhs[len(built.rhs)-1]) != math.Float64bits(patched.rhs[0]) {
+			t.Errorf("rhs %v: AddRow stored %v, SetRHS %v", v, built.rhs[len(built.rhs)-1], patched.rhs[0])
+		}
+	}
+}
+
 // TestRandom2DAgainstBruteForce solves random 2-variable LPs and checks
 // the simplex optimum against enumeration of all constraint-intersection
 // vertices (the classic exact method in 2D).

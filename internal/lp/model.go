@@ -59,6 +59,18 @@ type Model struct {
 	vals     []float64
 	ops      []Op
 	rhs      []float64
+
+	// Column-wise (CSC) copy of the structural columns, which FTRAN and
+	// pricing read. The first solve builds it; AddVar, AddRow and Reset
+	// invalidate it, while SetRHS and SetUpperBound leave it valid, so
+	// re-solves of a patched model skip the transpose. Because a solve
+	// may write it, a Model must not be solved from two goroutines at
+	// once.
+	colStart []int
+	colRow   []int
+	colVal   []float64
+	cscNext  []int // buildCSC scratch
+	cscOK    bool
 }
 
 // NewModel returns an empty model.
@@ -90,15 +102,36 @@ func (m *Model) Grow(nVars, nRows, nnz int) {
 // arithmetic), and normalizing here guarantees the sparse solver and the
 // dense oracle see the identical model.
 func (m *Model) AddVar(objCoef, ub float64) int {
-	if math.IsNaN(objCoef) || math.IsNaN(ub) || ub < 0 {
+	if math.IsNaN(objCoef) || !validUpper(ub) {
 		panic(fmt.Sprintf("lp: invalid variable (obj=%v ub=%v)", objCoef, ub))
 	}
-	if ub > hugeBound {
-		ub = math.Inf(1)
-	}
 	m.obj = append(m.obj, objCoef)
-	m.ub = append(m.ub, ub)
+	m.ub = append(m.ub, normUpper(ub))
+	m.cscOK = false
 	return len(m.obj) - 1
+}
+
+// SetUpperBound replaces variable j's upper bound, with AddVar's
+// validation and normalization. The constraint matrix is untouched, so
+// the model's column copy stays valid: this is the in-place patch path
+// for re-solving a same-structure model with new bounds.
+func (m *Model) SetUpperBound(j int, ub float64) {
+	if !validUpper(ub) {
+		panic(fmt.Sprintf("lp: invalid upper bound %v for variable %d", ub, j))
+	}
+	m.ub[j] = normUpper(ub)
+}
+
+// validUpper reports whether ub is an admissible upper bound: not NaN,
+// not negative (+∞ means none).
+func validUpper(ub float64) bool { return !math.IsNaN(ub) && ub >= 0 }
+
+// normUpper maps pseudo-infinite bounds (above hugeBound) to +∞.
+func normUpper(ub float64) float64 {
+	if ub > hugeBound {
+		return math.Inf(1)
+	}
+	return ub
 }
 
 // NumVars returns the number of variables.
@@ -119,7 +152,7 @@ func (m *Model) AddRow(cols []int, vals []float64, op Op, rhs float64) {
 	if len(cols) != len(vals) {
 		panic(fmt.Sprintf("lp: AddRow with %d columns but %d values", len(cols), len(vals)))
 	}
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
+	if !validRHS(rhs) {
 		panic("lp: invalid RHS")
 	}
 	for k, j := range cols {
@@ -138,7 +171,20 @@ func (m *Model) AddRow(cols []int, vals []float64, op Op, rhs float64) {
 	m.rowStart = append(m.rowStart, len(m.cols))
 	m.ops = append(m.ops, op)
 	m.rhs = append(m.rhs, rhs)
+	m.cscOK = false
 }
+
+// SetRHS replaces constraint i's right-hand side, with AddRow's
+// validation. Like SetUpperBound it keeps the column copy valid.
+func (m *Model) SetRHS(i int, rhs float64) {
+	if !validRHS(rhs) {
+		panic("lp: invalid RHS")
+	}
+	m.rhs[i] = rhs
+}
+
+// validRHS reports whether rhs is a finite right-hand side.
+func validRHS(rhs float64) bool { return !math.IsNaN(rhs) && !math.IsInf(rhs, 0) }
 
 // AddConstraint appends Σ coefs[i]·x_i  op  rhs. Variables absent from
 // coefs have coefficient zero. Zero coefficients are dropped. It is the
@@ -181,6 +227,39 @@ func (m *Model) Reset() {
 	m.vals = m.vals[:0]
 	m.ops = m.ops[:0]
 	m.rhs = m.rhs[:0]
+	m.cscOK = false
+}
+
+// buildCSC transposes the CSR rows into the column copy, reusing its
+// arrays' capacity.
+func (m *Model) buildCSC() {
+	n := len(m.obj)
+	m.colStart = grown(m.colStart, n+1)
+	for j := range m.colStart {
+		m.colStart[j] = 0
+	}
+	for _, j := range m.cols {
+		m.colStart[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		m.colStart[j+1] += m.colStart[j]
+	}
+	nnz := len(m.cols)
+	m.colRow = grown(m.colRow, nnz)
+	m.colVal = grown(m.colVal, nnz)
+	next := grown(m.cscNext, n)
+	m.cscNext = next
+	copy(next, m.colStart[:n])
+	for i := range m.ops {
+		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
+			j := m.cols[k]
+			p := next[j]
+			m.colRow[p] = i
+			m.colVal[p] = m.vals[k]
+			next[j]++
+		}
+	}
+	m.cscOK = true
 }
 
 // Clone returns a deep copy of the model. Useful for benchmarking warm

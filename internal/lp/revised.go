@@ -129,7 +129,8 @@ type sparse struct {
 	cost   []float64 // current phase's cost per column
 	real   []float64 // true cost per column
 
-	// CSC of the structural columns (logical columns are implicit e_i).
+	// CSC of the structural columns (logical columns are implicit e_i),
+	// aliasing the model's column copy.
 	colStart []int
 	colRow   []int
 	colVal   []float64
@@ -165,8 +166,7 @@ type sparse struct {
 	dse bool
 	tau []float64
 
-	ltaken  []bool // initFromBasis scratch
-	cscNext []int  // buildCSC scratch
+	ltaken []bool // initFromBasis scratch
 
 	// warmSeated marks a basis projected from a snapshot (initFromBasis):
 	// run() then earns a cost-shifted dual phase-1 rung before giving up
@@ -203,6 +203,7 @@ func newSparse(m *Model) *sparse {
 // run is safe.
 func (s *sparse) release() {
 	s.model = nil
+	s.colStart, s.colRow, s.colVal = nil, nil, nil
 	sparsePool.Put(s)
 }
 
@@ -260,38 +261,10 @@ func (s *sparse) init(m *Model) {
 			s.lo[c], s.up[c] = 0, 0
 		}
 	}
-	s.buildCSC()
-}
-
-// buildCSC transposes the model's CSR rows into per-column form, which
-// FTRAN (gathering one column) and pricing need.
-func (s *sparse) buildCSC() {
-	m := s.model
-	nnz := len(m.cols)
-	s.colStart = grown(s.colStart, s.n+1)
-	for j := range s.colStart {
-		s.colStart[j] = 0
+	if !m.cscOK {
+		m.buildCSC()
 	}
-	for _, j := range m.cols {
-		s.colStart[j+1]++
-	}
-	for j := 0; j < s.n; j++ {
-		s.colStart[j+1] += s.colStart[j]
-	}
-	s.colRow = grown(s.colRow, nnz)
-	s.colVal = grown(s.colVal, nnz)
-	next := grown(s.cscNext, s.n)
-	s.cscNext = next
-	copy(next, s.colStart[:s.n])
-	for i := 0; i < s.mr; i++ {
-		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-			j := m.cols[k]
-			p := next[j]
-			s.colRow[p] = i
-			s.colVal[p] = m.vals[k]
-			next[j]++
-		}
-	}
+	s.colStart, s.colRow, s.colVal = m.colStart, m.colRow, m.colVal
 }
 
 // initFresh seats the all-logical basis: every row's logical is basic,
@@ -671,11 +644,15 @@ func (s *sparse) residualOK() bool {
 // dualSimplex repairs primal feasibility while keeping dual feasibility,
 // under the current cost vector. It returns Optimal when every basic
 // value sits within its bounds, Infeasible when a violated row admits no
-// entering column (dual unbounded ⇒ primal empty).
-func (s *sparse) dualSimplex() (Status, error) {
+// entering column (dual unbounded ⇒ primal empty). dualsFresh reports
+// that y and d were just computed from the current basis, factors and
+// cost vector, so the opening recompute would reproduce them bit for bit.
+func (s *sparse) dualSimplex(dualsFresh bool) (Status, error) {
 	degenerate := 0
 	s.resetDualDevex()
-	s.computeDuals()
+	if !dualsFresh {
+		s.computeDuals()
+	}
 	fresh := true
 	for {
 		refactored, err := s.refresh(false)
@@ -828,11 +805,13 @@ func (s *sparse) dualSimplex() (Status, error) {
 }
 
 // primalSimplex improves the current cost from a primal-feasible basis.
-// It returns Optimal or Unbounded.
-func (s *sparse) primalSimplex() (Status, error) {
+// It returns Optimal or Unbounded. dualsFresh is as for dualSimplex.
+func (s *sparse) primalSimplex(dualsFresh bool) (Status, error) {
 	degenerate := 0
 	s.resetPrimalDevex()
-	s.computeDuals()
+	if !dualsFresh {
+		s.computeDuals()
+	}
 	fresh := true
 	for {
 		refactored, err := s.refresh(false)
@@ -1081,8 +1060,10 @@ func (s *sparse) run() (*Solution, error) {
 	if !s.dualFeasible() && s.flipToDualFeasible() {
 		s.computeXB() // flipped columns rest at new values
 	}
+	// Bound flips move no basic column and no cost, so the duals just
+	// computed stay exact for whichever of the first two rungs runs.
 	if s.dualFeasible() {
-		st, err := s.dualSimplex()
+		st, err := s.dualSimplex(true)
 		if err != nil {
 			return nil, err
 		}
@@ -1096,7 +1077,7 @@ func (s *sparse) run() (*Solution, error) {
 		// Homotopy middle rung: a projected foreign basis often lands
 		// primal feasible but not dual feasible — the primal simplex
 		// finishes from it without discarding the warm start.
-		st, err := s.primalSimplex()
+		st, err := s.primalSimplex(true)
 		if err != nil {
 			return nil, err
 		}
@@ -1128,7 +1109,7 @@ func (s *sparse) run() (*Solution, error) {
 				s.cost[j] -= s.d[j]
 			}
 		}
-		st, err := s.dualSimplex()
+		st, err := s.dualSimplex(false)
 		if err != nil {
 			return nil, err
 		}
@@ -1136,7 +1117,7 @@ func (s *sparse) run() (*Solution, error) {
 			return &Solution{Status: Infeasible, Pivots: s.pivots}, nil
 		}
 		copy(s.cost, s.real)
-		st, err = s.primalSimplex()
+		st, err = s.primalSimplex(false)
 		if err != nil {
 			return nil, err
 		}
@@ -1160,7 +1141,7 @@ func (s *sparse) run() (*Solution, error) {
 			s.cost[j] = 0
 		}
 	}
-	st, err := s.dualSimplex()
+	st, err := s.dualSimplex(false)
 	if err != nil {
 		return nil, err
 	}
@@ -1168,7 +1149,7 @@ func (s *sparse) run() (*Solution, error) {
 		return &Solution{Status: Infeasible, Pivots: s.pivots}, nil
 	}
 	copy(s.cost, s.real)
-	st, err = s.primalSimplex()
+	st, err = s.primalSimplex(false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -153,6 +155,95 @@ func TestResolveFromUnchangedModel(t *testing.T) {
 	}
 	if re.Pivots != 0 {
 		t.Errorf("re-solve of an unchanged model pivoted %d times", re.Pivots)
+	}
+}
+
+// solutionDiff names the first field in which a and b differ bit for
+// bit ("" when they are identical), Basis included.
+func solutionDiff(a, b *Solution) string {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case a.Status != b.Status:
+		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
+	case a.Pivots != b.Pivots:
+		return fmt.Sprintf("pivots %d vs %d", a.Pivots, b.Pivots)
+	case !same(a.X, b.X):
+		return fmt.Sprintf("x %v vs %v", a.X, b.X)
+	case !same([]float64{a.Objective, a.DualityGap}, []float64{b.Objective, b.DualityGap}):
+		return fmt.Sprintf("objective/gap %v/%v vs %v/%v", a.Objective, a.DualityGap, b.Objective, b.DualityGap)
+	case !same(a.Duals, b.Duals):
+		return fmt.Sprintf("duals %v vs %v", a.Duals, b.Duals)
+	case !reflect.DeepEqual(a.Basis, b.Basis):
+		return "basis differs"
+	}
+	return ""
+}
+
+// TestColumnCopyInvalidation: a model keeps its column copy from one
+// solve to the next, so every mutation must leave it right. After each
+// of AddVar, AddRow, Reset, SetRHS and SetUpperBound on a model that has
+// already been solved, its solve must equal a solve of a fresh Clone,
+// which builds the copy from scratch.
+func TestColumnCopyInvalidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	steps := []struct {
+		name string
+		edit func(m *Model)
+	}{
+		{"AddRow", func(m *Model) {
+			m.AddRow([]int{0, m.NumVars() - 1}, []float64{1, 2}, GE, 1)
+		}},
+		{"AddVar", func(m *Model) { m.AddVar(-1, 3) }},
+		{"AddVar+AddRow", func(m *Model) {
+			j := m.AddVar(1, 3)
+			m.AddRow([]int{j, 0}, []float64{1, 1}, GE, 2)
+		}},
+		{"Reset", func(m *Model) {
+			m.Reset()
+			a, b := m.AddVar(1, 4), m.AddVar(2, math.Inf(1))
+			m.AddRow([]int{b, a}, []float64{1, 3}, GE, 2)
+			m.AddRow([]int{a}, []float64{-1}, LE, 1)
+		}},
+		{"SetRHS", func(m *Model) {
+			for i := 0; i < m.NumConstraints(); i++ {
+				m.SetRHS(i, rng.Float64()*6-2)
+			}
+		}},
+		{"SetUpperBound", func(m *Model) {
+			for j := 0; j < m.NumVars(); j++ {
+				m.SetUpperBound(j, 0.5+rng.Float64()*5)
+			}
+		}},
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := randomModel(rng)
+		if _, err := m.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range steps {
+			st.edit(m)
+			got, err := m.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Clone().Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := solutionDiff(got, want); d != "" {
+				t.Fatalf("trial %d, after %s: solve differs from a fresh clone's: %s", trial, st.name, d)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package sne
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"netdesign/internal/broadcast"
 	"netdesign/internal/game"
@@ -31,9 +33,10 @@ type broadcastLP struct {
 	varOf  []int // edge ID → LP variable (tree edges only; -1 otherwise)
 	edgeOf []int // LP variable → edge ID
 
-	// Per-row deviation metadata, for shadow pricing: the deviating
-	// player, the entry node and the non-tree edge of each LP row.
-	rowU, rowV, rowEdge []int
+	// Per-row deviation metadata: the deviating player, the entry node,
+	// the non-tree edge and lca(u,v) of each LP row. Shadow pricing reads
+	// the first three; patch re-derives each row constant from all four.
+	rowU, rowV, rowEdge, rowX []int
 
 	// Row-emission scratch, pooled with the struct.
 	cols []int
@@ -74,6 +77,7 @@ func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP) *broadcastLP {
 	bl.rowU = grow(bl.rowU, maxRows)
 	bl.rowV = grow(bl.rowV, maxRows)
 	bl.rowEdge = grow(bl.rowEdge, maxRows)
+	bl.rowX = grow(bl.rowX, maxRows)
 	for _, id := range st.Tree.EdgeIDs {
 		bl.varOf[id] = bl.model.AddVar(1, g.Weight(id))
 		bl.edgeOf = append(bl.edgeOf, id)
@@ -124,10 +128,29 @@ func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP) *broadcastLP {
 			bl.rowU = append(bl.rowU, u)
 			bl.rowV = append(bl.rowV, v)
 			bl.rowEdge = append(bl.rowEdge, e.ID)
+			bl.rowX = append(bl.rowX, x)
 		}
 	}
 	bl.cols, bl.vals = cols, vals // hand grown scratch back to the pool
 	return bl
+}
+
+// patch rewrites the weight-dependent data of an LP built from a state
+// of identical structure (see lpShape) for st's weights: the upper
+// bounds w_a and the row constants C_uv, with the exact expressions the
+// build uses, so the patched model equals a rebuilt one bit for bit.
+// O(n + rows), and the model's column copy stays valid.
+func (bl *broadcastLP) patch(st *broadcast.State) {
+	g := st.BG.G
+	for j, id := range bl.edgeOf {
+		bl.model.SetUpperBound(j, g.Weight(id))
+	}
+	up0, dev0 := st.PrefixSums(nil)
+	for r, u := range bl.rowU {
+		v, x := bl.rowV[r], bl.rowX[r]
+		rhs := (up0[u] - up0[x]) - g.Weight(bl.rowEdge[r]) - (dev0[v] - dev0[x])
+		bl.model.SetRHS(r, rhs)
+	}
 }
 
 // grow returns s emptied with capacity for at least n elements.
@@ -161,13 +184,27 @@ func finishBroadcast(st *broadcast.State, bl *broadcastLP, sol *lp.Solution) (*R
 	return res, nil
 }
 
-// solveBroadcast runs the LP through the chosen solver and verifies the
-// resulting assignment enforces the state. A non-nil warm basis — from an
-// earlier solve of this or a structurally compatible nearby instance —
-// starts the sparse solver from it (lp.ResolveFrom projects and falls
-// back to a cold solve when the basis does not help).
-func solveBroadcast(st *broadcast.State, dense bool, warm *lp.Basis) (*broadcastLP, *lp.Solution, *Result, error) {
-	bl := buildBroadcastLP(st)
+// blPool recycles LP (3) build workspaces, model and column copy
+// included, across the one-shot solvers: a sweep of cold solves then
+// rebuilds into grown arenas instead of allocating every model afresh.
+var blPool = sync.Pool{New: func() any { return &broadcastLP{model: lp.NewModel()} }}
+
+// solveBroadcastPooled is solveBroadcast on a pooled build workspace.
+func solveBroadcastPooled(st *broadcast.State, dense bool, warm *lp.Basis) (*Result, error) {
+	bl := blPool.Get().(*broadcastLP)
+	defer blPool.Put(bl)
+	_, res, err := solveBroadcast(st, bl, dense, warm)
+	return res, err
+}
+
+// solveBroadcast builds the LP into bl, runs it through the chosen
+// solver and verifies the resulting assignment enforces the state. A
+// non-nil warm basis — from an earlier solve of this or a structurally
+// compatible nearby instance — starts the sparse solver from it
+// (lp.ResolveFrom projects and falls back to a cold solve when the basis
+// does not help).
+func solveBroadcast(st *broadcast.State, bl *broadcastLP, dense bool, warm *lp.Basis) (*lp.Solution, *Result, error) {
+	buildBroadcastLPInto(st, bl)
 	var sol *lp.Solution
 	var err error
 	switch {
@@ -179,13 +216,13 @@ func solveBroadcast(st *broadcast.State, dense bool, warm *lp.Basis) (*broadcast
 		sol, err = bl.model.Solve()
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res, err := finishBroadcast(st, bl, sol)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return bl, sol, res, nil
+	return sol, res, nil
 }
 
 // BroadcastLPChain is the cross-instance homotopy driver for LP (3): it
@@ -197,7 +234,52 @@ func solveBroadcast(st *broadcast.State, dense bool, warm *lp.Basis) (*broadcast
 // use: one chain per worker.
 type BroadcastLPChain struct {
 	bl    *broadcastLP
+	shape lpShape // the structure bl was last built from
 	basis *lp.Basis
+}
+
+// lpShape records what LP (3)'s variables, rows and coefficients depend
+// on besides the tree-edge order (bl.edgeOf) and the row list (bl.rowU,
+// rowV, rowEdge, rowX): every node's parent edge, the usage counts n_a
+// and every edge's endpoints. The root is the one node without a parent
+// edge, tree membership is the set of edgeOf, and each parent follows
+// from its parent edge's endpoints, so equal records mean an equal
+// constraint matrix, row order and variable order. Edge weights are
+// absent: they enter only the upper bounds and the row constants, which
+// patch rewrites.
+type lpShape struct {
+	parEdge []int
+	na      []int64
+	ends    []int // U, V of edge id at 2·id, 2·id+1
+}
+
+// record captures st's structure.
+func (sh *lpShape) record(st *broadcast.State) {
+	edges := st.BG.G.Edges()
+	sh.parEdge = append(sh.parEdge[:0], st.Tree.ParEdge...)
+	sh.na = append(sh.na[:0], st.NA...)
+	sh.ends = sh.ends[:0]
+	for i := range edges {
+		sh.ends = append(sh.ends, edges[i].U, edges[i].V)
+	}
+}
+
+// matches reports whether st has the recorded structure and the tree
+// edge order edgeOf, compared element by element. An empty record
+// matches no state.
+func (sh *lpShape) matches(st *broadcast.State, edgeOf []int) bool {
+	edges := st.BG.G.Edges()
+	if len(edges)*2 != len(sh.ends) ||
+		!slices.Equal(st.Tree.EdgeIDs, edgeOf) ||
+		!slices.Equal(st.Tree.ParEdge, sh.parEdge) || !slices.Equal(st.NA, sh.na) {
+		return false
+	}
+	for i := range edges {
+		if edges[i].U != sh.ends[2*i] || edges[i].V != sh.ends[2*i+1] {
+			return false
+		}
+	}
+	return true
 }
 
 // NewBroadcastLPChain returns an empty chain.
@@ -221,9 +303,24 @@ func (c *BroadcastLPChain) Solve(st *broadcast.State) (*Result, error) {
 // fingerprint is the key a serving layer uses to look up a warm basis
 // from a structurally identical earlier instance (a basis cache) before
 // committing to a solve; follow with SolvePrepared.
+//
+// When st has exactly the structure of the previously prepared state
+// (lpShape), Prepare patches the bounds and row constants of the pooled
+// model in place instead of rebuilding it: the resulting model, and so
+// every solve of it, is bit-identical to a rebuild.
 func (c *BroadcastLPChain) Prepare(st *broadcast.State) uint64 {
-	c.bl = buildBroadcastLPInto(st, c.bl)
+	if c.bl != nil && c.shape.matches(st, c.bl.edgeOf) {
+		c.bl.patch(st)
+	} else {
+		c.build(st)
+	}
 	return c.bl.model.StructureFingerprint()
+}
+
+// build rebuilds the chain's LP from st and records its structure.
+func (c *BroadcastLPChain) build(st *broadcast.State) {
+	c.bl = buildBroadcastLPInto(st, c.bl)
+	c.shape.record(st)
 }
 
 // SolvePrepared solves the LP built by the immediately preceding Prepare,
@@ -234,7 +331,7 @@ func (c *BroadcastLPChain) Prepare(st *broadcast.State) uint64 {
 // the warm-vs-cold solve counters a server exports come from it.
 func (c *BroadcastLPChain) SolvePrepared(st *broadcast.State, warm *lp.Basis) (*Result, bool, error) {
 	if c.bl == nil {
-		c.bl = buildBroadcastLPInto(st, c.bl)
+		c.build(st)
 	}
 	usedWarm := warm.CompatibleWith(c.bl.model)
 	var sol *lp.Solution
@@ -260,8 +357,7 @@ func (c *BroadcastLPChain) SolvePrepared(st *broadcast.State, warm *lp.Basis) (*
 // simplex. The LP is always feasible (full subsidies enforce anything),
 // so the result is always Optimal barring numerical failure.
 func SolveBroadcastLP(st *broadcast.State) (*Result, error) {
-	_, _, res, err := solveBroadcast(st, false, nil)
-	return res, err
+	return solveBroadcastPooled(st, false, nil)
 }
 
 // SolveBroadcastLPFrom is SolveBroadcastLP warm-started from the basis of
@@ -270,16 +366,14 @@ func SolveBroadcastLP(st *broadcast.State) (*Result, error) {
 // optimum (the basis only changes the pivot path), and Result.Basis
 // carries the chain forward.
 func SolveBroadcastLPFrom(st *broadcast.State, warm *lp.Basis) (*Result, error) {
-	_, _, res, err := solveBroadcast(st, false, warm)
-	return res, err
+	return solveBroadcastPooled(st, false, warm)
 }
 
 // SolveBroadcastLPNaive solves the same LP on the dense two-phase
 // tableau. It is the differential-test oracle for SolveBroadcastLP, in
 // the same pattern as the other Naive implementations in this library.
 func SolveBroadcastLPNaive(st *broadcast.State) (*Result, error) {
-	_, _, res, err := solveBroadcast(st, true, nil)
-	return res, err
+	return solveBroadcastPooled(st, true, nil)
 }
 
 // MinSubsidyLowerBoundLP returns the LP relaxation value only (no

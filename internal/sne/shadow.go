@@ -25,7 +25,9 @@ type BindingDeviation struct {
 // shadow prices come straight from the sparse revised simplex's dual
 // vector — one per emitted row, in emission order.
 func BindingDeviations(st *broadcast.State) ([]BindingDeviation, *Result, error) {
-	bl, sol, res, err := solveBroadcast(st, false, nil)
+	bl := blPool.Get().(*broadcastLP)
+	defer blPool.Put(bl)
+	sol, res, err := solveBroadcast(st, bl, false, nil)
 	if err != nil {
 		return nil, nil, err
 	}

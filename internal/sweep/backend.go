@@ -68,8 +68,8 @@ type DirBackend struct{ Dir string }
 // NewDirBackend returns the Backend rooted at dir.
 func NewDirBackend(dir string) DirBackend { return DirBackend{Dir: dir} }
 
-func (b DirBackend) PinSpec(spec Spec) error     { return WriteRunSpec(b.Dir, spec) }
-func (b DirBackend) LoadSpec() (Spec, error)     { return LoadRunSpec(b.Dir) }
+func (b DirBackend) PinSpec(spec Spec) error      { return WriteRunSpec(b.Dir, spec) }
+func (b DirBackend) LoadSpec() (Spec, error)      { return LoadRunSpec(b.Dir) }
 func (b DirBackend) CheckLayout(shards int) error { return checkLayout(b.Dir, shards) }
 
 func (b DirBackend) ReadShard(name string) ([]Record, int64, error) {
