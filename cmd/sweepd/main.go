@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -135,7 +136,17 @@ func realMain(argv []string, stdout, stderr io.Writer) error {
 	hs := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	defer hs.Close()
+	defer func() {
+		// Shut down gracefully: the complete that finished the sweep is
+		// still writing its response, whose Done flag tells its worker to
+		// stop. Cut off, the worker would retry against a closed listener
+		// and fail.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if hs.Shutdown(ctx) != nil {
+			hs.Close()
+		}
+	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

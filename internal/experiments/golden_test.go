@@ -16,8 +16,9 @@ var update = flag.Bool("update", false, "rewrite the testdata golden files")
 // regression. E9/E20/E21 also pin the sweep-scenario output shape end to
 // end; E1 and E11 pin the sparse revised-simplex LP rebase byte for byte
 // (E1 reports deterministic pivot counts in place of its old wall-clock
-// columns exactly so it can live here).
-var goldenIDs = []string{"E1", "E2", "E5b", "E6", "E8", "E9", "E11", "E20", "E21", "E22"}
+// columns exactly so it can live here); E14 pins the α-approximate LP (3)
+// rows and the α-equilibrium check.
+var goldenIDs = []string{"E1", "E2", "E5b", "E6", "E8", "E9", "E11", "E14", "E20", "E21", "E22"}
 
 // TestGoldenTables renders each pinned experiment at a fixed quick-mode
 // config and compares byte-for-byte against testdata/<ID>.golden.

@@ -6,9 +6,7 @@ import "testing"
 // workspace, warmed arenas) spends exactly the Solution-export
 // allocations per solve — 6 today; the Forrest–Tomlin path must not add
 // any, since its whole point is absorbing pivots into reused factor
-// storage. Presolve allocates its working lists per call (it is an
-// opt-in, once-per-model pass), so its pin is per row+column and guards
-// against superlinear blowups, not against the linear setup itself.
+// storage.
 
 func TestSolveAllocsForrestTomlin(t *testing.T) {
 	if raceEnabled {
@@ -29,27 +27,5 @@ func TestSolveAllocsForrestTomlin(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("FT-path solve allocates %.1f/op, want ≤ 8 (Solution export only)", allocs)
-	}
-}
-
-func TestPresolveAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated by race instrumentation")
-	}
-	m := buildSparseLP(200)
-	perUnit := 20.0 * float64(m.NumVars()+m.NumConstraints())
-	allocs := testing.AllocsPerRun(10, func() { m.Presolve() })
-	if allocs > perUnit+200 {
-		t.Errorf("Presolve allocates %.1f/op on a %d×%d model, want ≤ %.0f (linear in size)",
-			allocs, m.NumConstraints(), m.NumVars(), perUnit+200)
-	}
-	p := m.Presolve()
-	sol, err := p.Reduced.Solve()
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("reduced solve: %v %v", sol.Status, err)
-	}
-	post := testing.AllocsPerRun(10, func() { p.Postsolve(sol) })
-	if post > 12 {
-		t.Errorf("Postsolve allocates %.1f/op, want ≤ 12", post)
 	}
 }

@@ -89,27 +89,6 @@ func FuzzLPSolve(f *testing.F) {
 			t.Fatalf("witness beats 'optimum': %v < %v", m.Value(xs), sp.Objective)
 		}
 
-		// Presolve round trip: the reductions must agree with the direct
-		// solve bit for status, match the objective, return a point the
-		// independent check accepts, and reconstruct duals that certify
-		// optimality on the ORIGINAL model.
-		pre, err := m.SolvePresolved()
-		if err != nil {
-			t.Fatalf("presolved: %v", err)
-		}
-		if pre.Status != Optimal {
-			t.Fatalf("presolved status %v on a feasible bounded model", pre.Status)
-		}
-		if !m.Feasible(pre.X, 1e-6) {
-			t.Fatalf("presolved optimum infeasible: %v", pre.X)
-		}
-		if diff := math.Abs(pre.Objective - dn.Objective); diff > 1e-6*(1+math.Abs(dn.Objective)) {
-			t.Fatalf("presolved objective diverges: %v vs dense %v", pre.Objective, dn.Objective)
-		}
-		if pre.DualityGap > 1e-6*(1+math.Abs(pre.Objective)) {
-			t.Fatalf("presolved duality gap %v", pre.DualityGap)
-		}
-
 		// Cross-instance homotopy: the optimal basis must warm start a
 		// structurally identical neighbour (all inequalities loosened, so
 		// the witness stays feasible) and a row-truncated one, matching

@@ -110,10 +110,10 @@ func (s *sparse) choosePrimalEntering(bland bool) int {
 // sits above its upper bound (0 when feasible within tolerance).
 func (s *sparse) dualViol(i int) (float64, bool) {
 	b := s.basic[i]
-	if v := s.lo[b] - s.xB[i]; v > feasTol*(1+math.Abs(s.lo[b])) {
+	if v := s.lo[b] - s.xB[i]; v > FeasTol*(1+math.Abs(s.lo[b])) {
 		return v, false
 	}
-	if v := s.xB[i] - s.up[b]; v > feasTol*(1+math.Abs(s.up[b])) {
+	if v := s.xB[i] - s.up[b]; v > FeasTol*(1+math.Abs(s.up[b])) {
 		return v, true
 	}
 	return 0, false

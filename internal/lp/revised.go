@@ -1000,8 +1000,8 @@ func (s *sparse) flipToDualFeasible() bool {
 // bounds (same tolerance as the dual simplex's violation scan).
 func (s *sparse) primalFeasibleNow() bool {
 	for i, b := range s.basic {
-		if s.xB[i] < s.lo[b]-feasTol*(1+math.Abs(s.lo[b])) ||
-			s.xB[i] > s.up[b]+feasTol*(1+math.Abs(s.up[b])) {
+		if s.xB[i] < s.lo[b]-FeasTol*(1+math.Abs(s.lo[b])) ||
+			s.xB[i] > s.up[b]+FeasTol*(1+math.Abs(s.up[b])) {
 			return false
 		}
 	}
@@ -1023,7 +1023,7 @@ func (s *sparse) solution() *Solution {
 		}
 	}
 	for j := range sol.X {
-		if sol.X[j] < 0 && sol.X[j] > -feasTol {
+		if sol.X[j] < 0 && sol.X[j] > -FeasTol {
 			sol.X[j] = 0
 		}
 	}

@@ -6,13 +6,16 @@ import (
 )
 
 // Numerical tolerances shared by both solvers. pivotTol guards divisions;
-// optTol decides optimality of reduced costs; feasTol decides primal
+// optTol decides optimality of reduced costs; FeasTol decides primal
 // feasibility (phase-1 success in the dense solver, bound violation in
-// the sparse one).
+// the sparse one). FeasTol is exported because it bounds how far an
+// Optimal answer may violate a row: the sparse solver accepts a basic
+// value up to FeasTol·(1+|bound|) past its bound, so a caller that needs
+// a row to hold strictly can tighten it by more than that.
 const (
 	pivotTol = 1e-9
 	optTol   = 1e-9
-	feasTol  = 1e-7
+	FeasTol  = 1e-7
 )
 
 // ErrIterationLimit is returned when a simplex exceeds its pivot budget,
@@ -166,7 +169,7 @@ func (m *Model) SolveDense() (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		if -t.obj[t.ncols] > feasTol {
+		if -t.obj[t.ncols] > FeasTol {
 			sol.Status = Infeasible
 			return sol, nil
 		}
@@ -218,7 +221,7 @@ func (m *Model) SolveDense() (*Solution, error) {
 	}
 	// Snap tiny negatives from round-off.
 	for j := range sol.X {
-		if sol.X[j] < 0 && sol.X[j] > -feasTol {
+		if sol.X[j] < 0 && sol.X[j] > -FeasTol {
 			sol.X[j] = 0
 		}
 	}

@@ -272,19 +272,3 @@ func BenchmarkLPSparseSolve1000(b *testing.B) { benchSparseSolve(b, 1000) }
 // PR 7 kernel work targets, where exact pricing's pivot savings beat its
 // extra FTRAN.
 func BenchmarkLPSparseSolve2000(b *testing.B) { benchSparseSolve(b, 2000) }
-
-// BenchmarkLPSparsePresolve1000 measures the opt-in presolve round trip
-// (Presolve + reduced Solve + Postsolve) against BenchmarkLPSparseSolve1000.
-func BenchmarkLPSparsePresolve1000(b *testing.B) {
-	mdl := buildSparseLP(1000)
-	if sol, err := mdl.SolvePresolved(); err != nil || sol.Status != Optimal {
-		b.Fatalf("status %v err %v", sol.Status, err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mdl.SolvePresolved(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -44,7 +44,7 @@ type aonProblem struct {
 // Tree edges appearing in no row are never subsidized and are dropped.
 func buildAONProblem(st *broadcast.State, lightestFirst bool) *aonProblem {
 	g := st.BG.G
-	bl := buildBroadcastLP(st)
+	bl := buildBroadcastLPInto(st, nil, 1)
 	used := map[int]bool{}
 	for i := 0; i < bl.model.NumConstraints(); i++ {
 		cols, _, _, _ := bl.model.Row(i)

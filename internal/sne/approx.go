@@ -5,7 +5,6 @@ import (
 
 	"netdesign/internal/broadcast"
 	"netdesign/internal/game"
-	"netdesign/internal/lp"
 	"netdesign/internal/numeric"
 )
 
@@ -13,42 +12,51 @@ import (
 // studied by Albers & Lenzner, cited in the paper's related work): a
 // state is an α-equilibrium if no player can improve her cost by more
 // than a factor α ≥ 1. Enforcing a tree as an α-equilibrium is still a
-// linear program — the Lemma-2 row becomes
+// linear program — LP (3) with the Lemma-2 row
 //
 //	Σ_{a∈T_u} (w_a−b_a)/n_a ≤ α·[ w_uv − b_uv + Σ_{a∈T_v} (w_a−b_a)/(n_a+1−n_a^u) ]
 //
-// and, unlike the α = 1 case, the edges shared by T_u and T_v no longer
-// cancel (their coefficients become (1−α)/n_a), so rows span full paths.
-// Subsidy requirements fall monotonically in α and hit zero once α
-// reaches the worst cost ratio of the unsubsidized tree.
+// in which, unlike the α = 1 case, the edges shared by T_u and T_v no
+// longer cancel (their coefficients become (1−α)/n_a), so rows span full
+// paths. buildBroadcastLPInto emits both. Subsidy requirements fall
+// monotonically in α and hit zero once α reaches the worst cost ratio of
+// the unsubsidized tree.
 
 // IsApproxEquilibrium reports whether the broadcast state is an
-// α-approximate equilibrium under subsidies b.
+// α-approximate equilibrium under subsidies b. Each deviation is O(1)
+// off the State's Lemma-2 prefix sums: with x = lca(u,v), the deviation
+// costs (w_uv − b_uv) + (dev[v] − dev[x]) + up[x].
 func IsApproxEquilibrium(st *broadcast.State, b game.Subsidy, alpha float64) bool {
 	if alpha < 1 {
 		panic("sne: approximation factor must be ≥ 1")
 	}
-	g := st.BG.G
-	up := st.CostsToRoot(b)
-	for _, e := range g.Edges() {
+	return forEachDeviation(st, b, func(cost, dev float64) bool {
+		return !numeric.Less(alpha*dev, cost)
+	})
+}
+
+// forEachDeviation calls f with the tree cost of the deviating player
+// and the cost of her deviation under b, for every player and non-tree
+// edge, until f returns false; it reports whether f never did.
+func forEachDeviation(st *broadcast.State, b game.Subsidy, f func(cost, dev float64) bool) bool {
+	up, dev := st.PrefixSums(b)
+	edges := st.BG.G.Edges()
+	for i := range edges {
+		e := &edges[i]
 		if st.Tree.Contains(e.ID) {
 			continue
 		}
-		for _, dir := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			u, v := dir[0], dir[1]
+		we := e.W - b.At(e.ID)
+		for dir := 0; dir < 2; dir++ {
+			u, v := e.U, e.V
+			if dir == 1 {
+				u, v = v, u
+			}
 			if u == st.BG.Root {
 				continue
 			}
-			dev := e.W - b.At(e.ID)
 			x := st.Tree.LCA(u, v)
-			for _, id := range st.Tree.PathToRoot(v) {
-				den := st.NA[id] + 1
-				if onRootSide(st, id, x) {
-					den = st.NA[id] // shared with T_u: the deviator already uses it
-				}
-				dev += (g.Weight(id) - b.At(id)) / float64(den)
-			}
-			if numeric.Less(alpha*dev, up[u]) {
+			if !f(up[u], we+(dev[v]-dev[x])+up[x]) {
 				return false
 			}
 		}
@@ -56,107 +64,18 @@ func IsApproxEquilibrium(st *broadcast.State, b game.Subsidy, alpha float64) boo
 	return true
 }
 
-// onRootSide reports whether tree edge id lies on the path from x to the
-// root (the segment shared by T_u and T_v when x = lca(u,v)).
-func onRootSide(st *broadcast.State, id, x int) bool {
-	e := st.BG.G.Edge(id)
-	// The deeper endpoint identifies the edge's position; shared edges
-	// are those whose deeper endpoint is an ancestor-or-self of x.
-	child := e.U
-	if st.Tree.Depth[e.V] > st.Tree.Depth[child] {
-		child = e.V
-	}
-	return st.Tree.LCA(child, x) == child
-}
-
 // SolveBroadcastLPApprox computes minimum subsidies enforcing the state
-// as an α-approximate equilibrium. α = 1 recovers SolveBroadcastLP's
-// optimum (modulo the uncancelled-row formulation).
+// as an α-approximate equilibrium: LP (3) at α, solved cold on a pooled
+// chain. α = 1 is SolveBroadcastLP.
 func SolveBroadcastLPApprox(st *broadcast.State, alpha float64) (*Result, error) {
 	if alpha < 1 {
 		return nil, fmt.Errorf("sne: approximation factor %v must be ≥ 1", alpha)
 	}
-	g := st.BG.G
-	model := lp.NewModel()
-	varOf := make([]int, g.M())
-	for i := range varOf {
-		varOf[i] = -1
-	}
-	for _, id := range st.Tree.EdgeIDs {
-		varOf[id] = model.AddVar(1, g.Weight(id))
-	}
-	up0 := st.CostsToRoot(nil)
-	// Dense coefficient scratch (indexed by LP variable) plus a touched
-	// list: unlike the α = 1 rows, the two path walks overlap above the
-	// LCA, so coefficients must be merged before vacuousness is judged.
-	coef := make([]float64, model.NumVars())
-	touched := make([]int, 0, 16)
-	cols := make([]int, 0, 16)
-	vals := make([]float64, 0, 16)
-	for _, e := range g.Edges() {
-		if st.Tree.Contains(e.ID) {
-			continue
-		}
-		for _, dir := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			u, v := dir[0], dir[1]
-			if u == st.BG.Root {
-				continue
-			}
-			x := st.Tree.LCA(u, v)
-			// Row: Σ_{T_u} b/n − α·Σ_{T_v} b/den ≥ up0[u] − α·dev0.
-			touched = touched[:0]
-			for _, id := range st.Tree.PathToRoot(u) {
-				j := varOf[id]
-				if coef[j] == 0 {
-					touched = append(touched, j)
-				}
-				coef[j] += 1 / float64(st.NA[id])
-			}
-			dev0 := e.W
-			for _, id := range st.Tree.PathToRoot(v) {
-				den := float64(st.NA[id] + 1)
-				if onRootSide(st, id, x) {
-					den = float64(st.NA[id])
-				}
-				j := varOf[id]
-				if coef[j] == 0 {
-					touched = append(touched, j)
-				}
-				coef[j] -= alpha / den
-				dev0 += g.Weight(id) / den
-			}
-			rhs := up0[u] - alpha*dev0
-			cols, vals = cols[:0], vals[:0]
-			for _, j := range touched {
-				if coef[j] != 0 {
-					cols = append(cols, j)
-					vals = append(vals, coef[j])
-				}
-				coef[j] = 0
-			}
-			// Drop vacuous rows (no support after coefficient merging).
-			if len(cols) > 0 || rhs > 0 {
-				model.AddRow(cols, vals, lp.GE, rhs)
-			}
-		}
-	}
-	sol, err := model.Solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("sne: approximate LP status %v", sol.Status)
-	}
-	b := game.ZeroSubsidy(g)
-	for _, id := range st.Tree.EdgeIDs {
-		b[id] = sol.X[varOf[id]]
-	}
-	snap(b, g)
-	res := &Result{Subsidy: b, Cost: b.Cost(), Iterations: 1, Pivots: sol.Pivots}
-	if !IsApproxEquilibrium(st, b, alpha) {
-		return nil, fmt.Errorf("sne: approximate LP produced a non-enforcing assignment")
-	}
-	return res, nil
+	c := chainPool.Get().(*BroadcastLPChain)
+	defer chainPool.Put(c)
+	c.prepare(st, alpha)
+	_, res, err := c.solve(st, nil)
+	return res, err
 }
 
 // StabilityFactor returns the smallest α for which the tree is an
@@ -164,31 +83,12 @@ func SolveBroadcastLPApprox(st *broadcast.State, alpha float64) (*Result, error)
 // player's tree cost to her best deviation. It is 1 exactly when the
 // tree is a Nash equilibrium.
 func StabilityFactor(st *broadcast.State) float64 {
-	g := st.BG.G
-	up := st.CostsToRoot(nil)
 	worst := 1.0
-	for _, e := range g.Edges() {
-		if st.Tree.Contains(e.ID) {
-			continue
+	forEachDeviation(st, nil, func(cost, dev float64) bool {
+		if dev > 0 && cost/dev > worst {
+			worst = cost / dev
 		}
-		for _, dir := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			u, v := dir[0], dir[1]
-			if u == st.BG.Root {
-				continue
-			}
-			x := st.Tree.LCA(u, v)
-			dev := e.W
-			for _, id := range st.Tree.PathToRoot(v) {
-				den := float64(st.NA[id] + 1)
-				if onRootSide(st, id, x) {
-					den = float64(st.NA[id])
-				}
-				dev += g.Weight(id) / den
-			}
-			if dev > 0 && up[u]/dev > worst {
-				worst = up[u] / dev
-			}
-		}
-	}
+		return true
+	})
 	return worst
 }

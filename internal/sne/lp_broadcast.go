@@ -13,21 +13,25 @@ import (
 
 // broadcastLP is the LP (3) of a broadcast state in sparse form: one
 // variable per tree edge, one GE row per non-tree edge direction. The
-// paper's row for player u and non-tree edge (u,v) is
+// paper's row for player u and non-tree edge (u,v), relaxed to an
+// α-approximate equilibrium (α = 1 is the paper's Nash row), is
 //
-//	Σ_{a∈T_u} (w_a−b_a)/n_a ≤ w_uv − b_uv + Σ_{a∈T_v} (w_a−b_a)/(n_a+1−n_a^u).
+//	Σ_{a∈T_u} (w_a−b_a)/n_a ≤ α·[ w_uv − b_uv + Σ_{a∈T_v} (w_a−b_a)/(n_a+1−n_a^u) ].
 //
 // Edges shared by T_u and T_v (those above x = lca(u,v)) appear on both
-// sides with denominator n_a and cancel; b_uv is fixed to zero because
-// subsidizing a non-tree edge only strengthens the deviation. Moving the
-// variables left and constants right gives
+// sides with denominator n_a; b_uv is fixed to zero because subsidizing
+// a non-tree edge only strengthens the deviation. Moving the variables
+// left and constants right gives
 //
-//	Σ_{a∈T_u\T_x} b_a/n_a − Σ_{a∈T_v\T_x} b_a/(n_a+1) ≥ C_uv,
+//	Σ_{a∈T_u\T_x} b_a/n_a − α·Σ_{a∈T_v\T_x} b_a/(n_a+1) + (1−α)·Σ_{a∈T_x} b_a/n_a ≥ C_uv,
 //
-// with C_uv = (up0[u]−up0[x]) − w_uv − (dev0[v]−dev0[x]) evaluated at
-// zero subsidies. Rows are batched straight off the State's cached
-// Lemma-2 prefix sums into preallocated sparse buffers: no per-row maps,
-// two parent-chain walks and one AddRow per deviation.
+// with C_uv = (up0[u]−up0[x]) − α·w_uv − α·(dev0[v]−dev0[x]) + (1−α)·up0[x]
+// evaluated at zero subsidies. At α = 1 the shared segment cancels, so
+// rows span only the two disjoint segments below x; the (1−α) terms are
+// emitted only when α ≠ 1. Rows are batched straight off the State's
+// cached Lemma-2 prefix sums into preallocated sparse buffers: no
+// per-row maps, two or three parent-chain walks and one AddRow per
+// deviation.
 type broadcastLP struct {
 	model  *lp.Model
 	varOf  []int // edge ID → LP variable (tree edges only; -1 otherwise)
@@ -38,21 +42,16 @@ type broadcastLP struct {
 	// the first three; patch re-derives each row constant from all four.
 	rowU, rowV, rowEdge, rowX []int
 
-	// Row-emission scratch, pooled with the struct.
+	// Row-emission scratch, kept with the workspace.
 	cols []int
 	vals []float64
 }
 
-// buildBroadcastLP materializes every LP (3) row of the state.
-func buildBroadcastLP(st *broadcast.State) *broadcastLP {
-	return buildBroadcastLPInto(st, nil)
-}
-
-// buildBroadcastLPInto is buildBroadcastLP with workspace reuse: a
-// non-nil bl is reset in place (model arenas and index slices keep their
-// capacity), so rebuilding the LP for instance after instance of a sweep
-// allocates nothing in steady state.
-func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP) *broadcastLP {
+// buildBroadcastLPInto materializes every LP (3) row of st at
+// approximation factor alpha. A non-nil bl is reset in place (model
+// arenas and index slices keep their capacity), so rebuilding the LP for
+// instance after instance of a sweep allocates nothing in steady state.
+func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP, alpha float64) *broadcastLP {
 	g := st.BG.G
 	if bl == nil {
 		bl = &broadcastLP{model: lp.NewModel()}
@@ -84,8 +83,8 @@ func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP) *broadcastLP {
 	}
 	// The Lemma-2 prefix sums at b = 0 come straight from the State's
 	// memoized cache: up0 prices the tree path, dev0 the deviation
-	// segment, so each row's constant is O(1) on top of the two chain
-	// walks that emit its coefficients.
+	// segment, so each row's constant is O(1) on top of the chain walks
+	// that emit its coefficients.
 	up0, dev0 := st.PrefixSums(nil)
 	if cap(bl.cols) == 0 {
 		bl.cols = make([]int, 0, 16)
@@ -116,40 +115,68 @@ func buildBroadcastLPInto(st *broadcast.State, bl *broadcastLP) *broadcastLP {
 			for w := v; w != x; w = st.Tree.Parent[w] {
 				id := st.Tree.ParEdge[w]
 				cols = append(cols, bl.varOf[id])
-				vals = append(vals, -1/float64(st.NA[id]+1))
+				vals = append(vals, -alpha/float64(st.NA[id]+1))
+			}
+			if alpha != 1 {
+				for w := x; w != st.BG.Root; w = st.Tree.Parent[w] {
+					id := st.Tree.ParEdge[w]
+					cols = append(cols, bl.varOf[id])
+					vals = append(vals, (1-alpha)/float64(st.NA[id]))
+				}
 			}
 			if len(cols) == 0 {
-				// No variables can appear only when u == x (v below u);
-				// then rhs = −w_uv − devseg ≤ 0 and the row is vacuous.
+				// No variables can appear only when α = 1 and u == x (v
+				// below u); then C_uv = −w_uv − devseg ≤ 0 and the row is
+				// vacuous.
 				continue
 			}
-			rhs := (up0[u] - up0[x]) - e.W - (dev0[v] - dev0[x])
-			bl.model.AddRow(cols, vals, lp.GE, rhs)
+			bl.model.AddRow(cols, vals, lp.GE, rowConst(up0, dev0, u, v, x, e.W, alpha))
 			bl.rowU = append(bl.rowU, u)
 			bl.rowV = append(bl.rowV, v)
 			bl.rowEdge = append(bl.rowEdge, e.ID)
 			bl.rowX = append(bl.rowX, x)
 		}
 	}
-	bl.cols, bl.vals = cols, vals // hand grown scratch back to the pool
+	bl.cols, bl.vals = cols, vals // hand grown scratch back to the workspace
 	return bl
 }
 
-// patch rewrites the weight-dependent data of an LP built from a state
-// of identical structure (see lpShape) for st's weights: the upper
-// bounds w_a and the row constants C_uv, with the exact expressions the
-// build uses, so the patched model equals a rebuilt one bit for bit.
-// O(n + rows), and the model's column copy stays valid.
-func (bl *broadcastLP) patch(st *broadcast.State) {
+// rowConst is the constant C_uv of the row for player u entering the
+// tree at v through a non-tree edge of weight w, x = lca(u,v), from the
+// prefix sums at b = 0. The build and patch both call it, so a patched
+// model equals a rebuilt one bit for bit; at α = 1 it is
+// (up0[u]−up0[x]) − w − (dev0[v]−dev0[x]) exactly.
+func rowConst(up0, dev0 []float64, u, v, x int, w, alpha float64) float64 {
+	c := (up0[u] - up0[x]) - alpha*w - alpha*(dev0[v]-dev0[x])
+	if alpha != 1 {
+		c += (1 - alpha) * up0[x]
+	}
+	return c
+}
+
+// patch rewrites the weight-dependent data of an LP built at alpha from
+// a state of identical structure (see lpShape) for st's weights: the
+// upper bounds w_a and the row constants C_uv. O(n + rows), and the
+// model's column copy stays valid.
+func (bl *broadcastLP) patch(st *broadcast.State, alpha float64) {
 	g := st.BG.G
 	for j, id := range bl.edgeOf {
 		bl.model.SetUpperBound(j, g.Weight(id))
 	}
 	up0, dev0 := st.PrefixSums(nil)
 	for r, u := range bl.rowU {
-		v, x := bl.rowV[r], bl.rowX[r]
-		rhs := (up0[u] - up0[x]) - g.Weight(bl.rowEdge[r]) - (dev0[v] - dev0[x])
-		bl.model.SetRHS(r, rhs)
+		bl.model.SetRHS(r, rowConst(up0, dev0, u, bl.rowV[r], bl.rowX[r], g.Weight(bl.rowEdge[r]), alpha))
+	}
+}
+
+// raise lifts every row constant by twice the simplex's primal
+// feasibility tolerance at that constant: an answer the simplex accepts
+// for the raised model satisfies each original row with room to spare.
+// patch restores the constants.
+func (bl *broadcastLP) raise() {
+	for r := range bl.rowU {
+		_, _, _, c := bl.model.Row(r)
+		bl.model.SetRHS(r, c+2*lp.FeasTol*(1+math.Abs(c)))
 	}
 }
 
@@ -171,67 +198,15 @@ func (bl *broadcastLP) subsidy(g interface{ Weight(int) float64 }, x []float64, 
 	return b
 }
 
-// finishBroadcast converts an Optimal LP solution into a verified Result.
-func finishBroadcast(st *broadcast.State, bl *broadcastLP, sol *lp.Solution) (*Result, error) {
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("sne: broadcast LP status %v (should be feasible by full subsidy)", sol.Status)
-	}
-	b := bl.subsidy(st.BG.G, sol.X, st.BG.G.M())
-	res := &Result{Subsidy: b, Cost: b.Cost(), Iterations: 1, Pivots: sol.Pivots, Basis: sol.Basis}
-	if err := VerifyBroadcast(st, b); err != nil {
-		return nil, fmt.Errorf("sne: LP(3) produced a non-enforcing assignment: %w", err)
-	}
-	return res, nil
-}
-
-// blPool recycles LP (3) build workspaces, model and column copy
-// included, across the one-shot solvers: a sweep of cold solves then
-// rebuilds into grown arenas instead of allocating every model afresh.
-var blPool = sync.Pool{New: func() any { return &broadcastLP{model: lp.NewModel()} }}
-
-// solveBroadcastPooled is solveBroadcast on a pooled build workspace.
-func solveBroadcastPooled(st *broadcast.State, dense bool, warm *lp.Basis) (*Result, error) {
-	bl := blPool.Get().(*broadcastLP)
-	defer blPool.Put(bl)
-	_, res, err := solveBroadcast(st, bl, dense, warm)
-	return res, err
-}
-
-// solveBroadcast builds the LP into bl, runs it through the chosen
-// solver and verifies the resulting assignment enforces the state. A
-// non-nil warm basis — from an earlier solve of this or a structurally
-// compatible nearby instance — starts the sparse solver from it
-// (lp.ResolveFrom projects and falls back to a cold solve when the basis
-// does not help).
-func solveBroadcast(st *broadcast.State, bl *broadcastLP, dense bool, warm *lp.Basis) (*lp.Solution, *Result, error) {
-	buildBroadcastLPInto(st, bl)
-	var sol *lp.Solution
-	var err error
-	switch {
-	case dense:
-		sol, err = bl.model.SolveDense()
-	case warm != nil:
-		sol, err = bl.model.ResolveFrom(warm)
-	default:
-		sol, err = bl.model.Solve()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := finishBroadcast(st, bl, sol)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol, res, nil
-}
-
-// BroadcastLPChain is the cross-instance homotopy driver for LP (3): it
-// pools the LP build workspace (model arenas included) AND hands each
-// instance's optimal basis to the next solve, which is the whole point
-// on a nearby-instance family — identical structure means the projected
-// basis is a few dual pivots from the new optimum, and the pooled build
-// means the model rebuild allocates nothing. Not safe for concurrent
-// use: one chain per worker.
+// BroadcastLPChain is the LP (3) solver. It owns the LP build workspace
+// (model arenas included) and hands each instance's optimal basis to the
+// next solve, which is the whole point on a nearby-instance family —
+// identical structure means the projected basis is a few dual pivots
+// from the new optimum, and the reused workspace means the model
+// rebuild allocates nothing. Every LP (3) entry point of this package
+// runs on one: the one-shot solvers draw a chain from a pool and solve
+// cold. Not safe for concurrent use: one chain per worker. The zero
+// chain solves α = 1.
 type BroadcastLPChain struct {
 	bl    *broadcastLP
 	shape lpShape // the structure bl was last built from
@@ -240,22 +215,24 @@ type BroadcastLPChain struct {
 
 // lpShape records what LP (3)'s variables, rows and coefficients depend
 // on besides the tree-edge order (bl.edgeOf) and the row list (bl.rowU,
-// rowV, rowEdge, rowX): every node's parent edge, the usage counts n_a
-// and every edge's endpoints. The root is the one node without a parent
-// edge, tree membership is the set of edgeOf, and each parent follows
-// from its parent edge's endpoints, so equal records mean an equal
-// constraint matrix, row order and variable order. Edge weights are
-// absent: they enter only the upper bounds and the row constants, which
-// patch rewrites.
+// rowV, rowEdge, rowX): the approximation factor α, every node's parent
+// edge, the usage counts n_a and every edge's endpoints. The root is the
+// one node without a parent edge, tree membership is the set of edgeOf,
+// and each parent follows from its parent edge's endpoints, so equal
+// records mean an equal constraint matrix, row order and variable order.
+// Edge weights are absent: they enter only the upper bounds and the row
+// constants, which patch rewrites.
 type lpShape struct {
+	alpha   float64
 	parEdge []int
 	na      []int64
 	ends    []int // U, V of edge id at 2·id, 2·id+1
 }
 
-// record captures st's structure.
-func (sh *lpShape) record(st *broadcast.State) {
+// record captures st's structure at alpha.
+func (sh *lpShape) record(st *broadcast.State, alpha float64) {
 	edges := st.BG.G.Edges()
+	sh.alpha = alpha
 	sh.parEdge = append(sh.parEdge[:0], st.Tree.ParEdge...)
 	sh.na = append(sh.na[:0], st.NA...)
 	sh.ends = sh.ends[:0]
@@ -264,12 +241,12 @@ func (sh *lpShape) record(st *broadcast.State) {
 	}
 }
 
-// matches reports whether st has the recorded structure and the tree
-// edge order edgeOf, compared element by element. An empty record
-// matches no state.
-func (sh *lpShape) matches(st *broadcast.State, edgeOf []int) bool {
+// matches reports whether st at alpha has the recorded structure and
+// the tree edge order edgeOf, compared element by element. An empty
+// record matches no state.
+func (sh *lpShape) matches(st *broadcast.State, edgeOf []int, alpha float64) bool {
 	edges := st.BG.G.Edges()
-	if len(edges)*2 != len(sh.ends) ||
+	if alpha != sh.alpha || len(edges)*2 != len(sh.ends) ||
 		!slices.Equal(st.Tree.EdgeIDs, edgeOf) ||
 		!slices.Equal(st.Tree.ParEdge, sh.parEdge) || !slices.Equal(st.NA, sh.na) {
 		return false
@@ -298,29 +275,30 @@ func (c *BroadcastLPChain) Solve(st *broadcast.State) (*Result, error) {
 	return res, err
 }
 
-// Prepare builds the LP (3) of st into the chain's pooled workspace —
-// without solving — and returns the model's structure fingerprint. The
+// Prepare builds the LP (3) of st into the chain's workspace — without
+// solving — and returns the model's structure fingerprint. The
 // fingerprint is the key a serving layer uses to look up a warm basis
 // from a structurally identical earlier instance (a basis cache) before
 // committing to a solve; follow with SolvePrepared.
 //
 // When st has exactly the structure of the previously prepared state
-// (lpShape), Prepare patches the bounds and row constants of the pooled
-// model in place instead of rebuilding it: the resulting model, and so
-// every solve of it, is bit-identical to a rebuild.
+// (lpShape), Prepare patches the bounds and row constants of the model
+// in place instead of rebuilding it: the resulting model, and so every
+// solve of it, is bit-identical to a rebuild.
 func (c *BroadcastLPChain) Prepare(st *broadcast.State) uint64 {
-	if c.bl != nil && c.shape.matches(st, c.bl.edgeOf) {
-		c.bl.patch(st)
-	} else {
-		c.build(st)
-	}
+	c.prepare(st, 1)
 	return c.bl.model.StructureFingerprint()
 }
 
-// build rebuilds the chain's LP from st and records its structure.
-func (c *BroadcastLPChain) build(st *broadcast.State) {
-	c.bl = buildBroadcastLPInto(st, c.bl)
-	c.shape.record(st)
+// prepare is Prepare at approximation factor alpha, without the
+// fingerprint.
+func (c *BroadcastLPChain) prepare(st *broadcast.State, alpha float64) {
+	if c.bl != nil && c.shape.matches(st, c.bl.edgeOf, alpha) {
+		c.bl.patch(st, alpha)
+		return
+	}
+	c.bl = buildBroadcastLPInto(st, c.bl, alpha)
+	c.shape.record(st, alpha)
 }
 
 // SolvePrepared solves the LP built by the immediately preceding Prepare,
@@ -331,57 +309,101 @@ func (c *BroadcastLPChain) build(st *broadcast.State) {
 // the warm-vs-cold solve counters a server exports come from it.
 func (c *BroadcastLPChain) SolvePrepared(st *broadcast.State, warm *lp.Basis) (*Result, bool, error) {
 	if c.bl == nil {
-		c.build(st)
+		c.prepare(st, 1)
 	}
-	usedWarm := warm.CompatibleWith(c.bl.model)
-	var sol *lp.Solution
-	var err error
-	if usedWarm {
-		sol, err = c.bl.model.ResolveFrom(warm)
-	} else {
-		sol, err = c.bl.model.Solve()
-	}
+	_, res, err := c.solve(st, warm)
+	return res, warm.CompatibleWith(c.bl.model), err
+}
+
+// solve runs the sparse simplex on the prepared model from warm (cold
+// when warm is nil or incompatible), finishes the answer and advances
+// the chain. It also returns the final LP solution, whose duals price
+// the rows.
+func (c *BroadcastLPChain) solve(st *broadcast.State, warm *lp.Basis) (*lp.Solution, *Result, error) {
+	sol, err := c.bl.model.ResolveFrom(warm)
 	if err != nil {
-		return nil, usedWarm, err
+		return nil, nil, err
 	}
-	res, err := finishBroadcast(st, c.bl, sol)
+	sol, res, err := c.finish(st, sol, true)
 	if err != nil {
-		return nil, usedWarm, err
+		return nil, nil, err
 	}
 	c.basis = res.Basis
-	return res, usedWarm, nil
+	return sol, res, nil
 }
+
+// finish converts an LP solution of the prepared model into a Result
+// and verifies that it enforces st: VerifyBroadcast at α = 1,
+// IsApproxEquilibrium otherwise.
+//
+// The simplex accepts a row violated by up to lp.FeasTol·(1+|C_uv|),
+// while the verifier allows a relative 1e-9, so on a near-tie the
+// optimum can fail the check. With retry set, such an answer is
+// re-solved once from its own basis with every row constant raised past
+// the simplex's tolerance, the constants are restored and the new point
+// is verified again; a second failure is an error. Only the failure
+// path re-solves, so no passing answer changes.
+func (c *BroadcastLPChain) finish(st *broadcast.State, sol *lp.Solution, retry bool) (*lp.Solution, *Result, error) {
+	if sol.Status != lp.Optimal {
+		return nil, nil, fmt.Errorf("sne: broadcast LP status %v (should be feasible by full subsidy)", sol.Status)
+	}
+	g := st.BG.G
+	b := c.bl.subsidy(g, sol.X, g.M())
+	err := c.verify(st, b)
+	pivots := sol.Pivots
+	if err != nil && retry {
+		c.bl.raise()
+		again, rerr := c.bl.model.ResolveFrom(sol.Basis)
+		c.bl.patch(st, c.shape.alpha)
+		if rerr == nil && again.Status == lp.Optimal {
+			sol = again
+			pivots += sol.Pivots
+			b = c.bl.subsidy(g, sol.X, g.M())
+			err = c.verify(st, b)
+		}
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("sne: LP(3) produced a non-enforcing assignment: %w", err)
+	}
+	return sol, &Result{Subsidy: b, Cost: b.Cost(), Iterations: 1, Pivots: pivots, Basis: sol.Basis}, nil
+}
+
+// verify checks that b enforces st at the chain's approximation factor.
+func (c *BroadcastLPChain) verify(st *broadcast.State, b game.Subsidy) error {
+	if c.shape.alpha == 1 {
+		return VerifyBroadcast(st, b)
+	}
+	if !IsApproxEquilibrium(st, b, c.shape.alpha) {
+		return fmt.Errorf("sne: not a %v-approximate equilibrium", c.shape.alpha)
+	}
+	return nil
+}
+
+// chainPool recycles chains across the one-shot solvers: a sweep of cold
+// solves then rebuilds into grown arenas (or patches, on a repeated
+// structure) instead of allocating every model afresh.
+var chainPool = sync.Pool{New: func() any { return NewBroadcastLPChain() }}
 
 // SolveBroadcastLP computes a minimum-cost subsidy assignment enforcing
 // the broadcast state st, via the paper's LP (3) on the sparse revised
-// simplex. The LP is always feasible (full subsidies enforce anything),
-// so the result is always Optimal barring numerical failure.
+// simplex, solved cold on a pooled chain. The LP is always feasible
+// (full subsidies enforce anything), so the result is always Optimal
+// barring numerical failure.
 func SolveBroadcastLP(st *broadcast.State) (*Result, error) {
-	return solveBroadcastPooled(st, false, nil)
-}
-
-// SolveBroadcastLPFrom is SolveBroadcastLP warm-started from the basis of
-// a nearby instance's solve — the cross-instance homotopy entry point the
-// sne-lp sweep scenario chains through a family. The result is the same
-// optimum (the basis only changes the pivot path), and Result.Basis
-// carries the chain forward.
-func SolveBroadcastLPFrom(st *broadcast.State, warm *lp.Basis) (*Result, error) {
-	return solveBroadcastPooled(st, false, warm)
+	return SolveBroadcastLPApprox(st, 1)
 }
 
 // SolveBroadcastLPNaive solves the same LP on the dense two-phase
 // tableau. It is the differential-test oracle for SolveBroadcastLP, in
 // the same pattern as the other Naive implementations in this library.
 func SolveBroadcastLPNaive(st *broadcast.State) (*Result, error) {
-	return solveBroadcastPooled(st, true, nil)
-}
-
-// MinSubsidyLowerBoundLP returns the LP relaxation value only (no
-// verification round-trip); used by analyses that need many optima fast.
-func MinSubsidyLowerBoundLP(st *broadcast.State) (float64, error) {
-	r, err := SolveBroadcastLP(st)
+	c := chainPool.Get().(*BroadcastLPChain)
+	defer chainPool.Put(c)
+	c.prepare(st, 1)
+	sol, err := c.bl.model.SolveDense()
 	if err != nil {
-		return math.NaN(), err
+		return nil, err
 	}
-	return r.Cost, nil
+	_, res, err := c.finish(st, sol, false)
+	return res, err
 }

@@ -149,7 +149,7 @@ func TestChainPatchMatchesRebuild(t *testing.T) {
 	c := NewBroadcastLPChain()
 	var warm *lp.Basis
 	for i, st := range sts {
-		if patch := c.bl != nil && c.shape.matches(st, c.bl.edgeOf); patch != (i > 0) {
+		if patch := c.bl != nil && c.shape.matches(st, c.bl.edgeOf, 1); patch != (i > 0) {
 			t.Fatalf("member %d: patch path %v, want %v", i, patch, i > 0)
 		}
 		warm = checkAgainstFresh(t, fmt.Sprintf("member %d", i), c, st, warm).Basis
@@ -260,7 +260,7 @@ func TestChainRebuildsOnStructureChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := tc.st()
-			if patch := c.shape.matches(st, c.bl.edgeOf); patch != tc.patch {
+			if patch := c.shape.matches(st, c.bl.edgeOf, 1); patch != tc.patch {
 				t.Fatalf("patch path %v, want %v", patch, tc.patch)
 			}
 			checkAgainstFresh(t, tc.name, c, st, res.Basis)

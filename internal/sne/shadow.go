@@ -22,12 +22,13 @@ type BindingDeviation struct {
 // constraints that are binding at the optimum, most expensive first,
 // together with the optimal enforcement itself. It answers the practical
 // question "which defection threats are actually costing money?". The
-// shadow prices come straight from the sparse revised simplex's dual
-// vector — one per emitted row, in emission order.
+// shadow prices come straight from the dual vector of a pooled chain's
+// solve — one per emitted row, in emission order.
 func BindingDeviations(st *broadcast.State) ([]BindingDeviation, *Result, error) {
-	bl := blPool.Get().(*broadcastLP)
-	defer blPool.Put(bl)
-	sol, res, err := solveBroadcast(st, bl, false, nil)
+	c := chainPool.Get().(*BroadcastLPChain)
+	defer chainPool.Put(c)
+	c.prepare(st, 1)
+	sol, res, err := c.solve(st, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -35,9 +36,9 @@ func BindingDeviations(st *broadcast.State) ([]BindingDeviation, *Result, error)
 	for i, price := range sol.Duals {
 		if price > numeric.Eps {
 			binding = append(binding, BindingDeviation{
-				Node:        bl.rowU[i],
-				ViaEdge:     bl.rowEdge[i],
-				EntryNode:   bl.rowV[i],
+				Node:        c.bl.rowU[i],
+				ViaEdge:     c.bl.rowEdge[i],
+				EntryNode:   c.bl.rowV[i],
 				ShadowPrice: price,
 			})
 		}

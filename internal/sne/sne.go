@@ -4,8 +4,14 @@
 //
 // Three solvers implement the paper's Theorem 1 toolchain:
 //
-//   - SolveBroadcastLP — the compact LP (3) for broadcast games
-//     (variables only on tree edges, one row per non-tree edge direction);
+//   - LP (3), the compact LP for broadcast games (variables only on tree
+//     edges, one row per non-tree edge direction). BroadcastLPChain is
+//     its one solver: one builder (also emitting the α-approximate
+//     rows), an in-place patch for same-structure re-solves, warm starts
+//     across instances, and one finish step that verifies every answer.
+//     SolveBroadcastLP, SolveBroadcastLPApprox and BindingDeviations
+//     solve cold on a pooled chain; SolveBroadcastLPNaive solves the
+//     same model on the dense tableau as the differential oracle;
 //   - SolveGeneralLP — the polynomial-size LP (2) with shortest-path
 //     potentials π_i(v), for arbitrary multi-commodity games;
 //   - SolveRowGeneration — LP (1) solved by constraint generation, using
@@ -33,9 +39,10 @@ type Result struct {
 	Pivots     int     // total simplex pivots
 
 	// Basis is the optimal LP basis of the final solve (nil for the
-	// non-LP solvers and the dense oracle). Hand it to the *From variant
-	// of the same solver on a nearby instance to chain cross-instance
-	// warm starts (basis homotopy) through a sweep family.
+	// non-LP solvers and the dense oracle). Hand it to a warm-startable
+	// solve of a nearby instance (BroadcastLPChain.SolvePrepared, or a
+	// *From variant) to chain cross-instance warm starts (basis
+	// homotopy) through a sweep family.
 	Basis *lp.Basis
 }
 

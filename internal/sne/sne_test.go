@@ -411,7 +411,7 @@ func TestBindingDeviationsAreTight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl := buildBroadcastLP(st)
+		bl := buildBroadcastLPInto(st, nil, 1)
 		for _, bd := range binding {
 			for i := 0; i < bl.model.NumConstraints(); i++ {
 				if bl.rowU[i] != bd.Node || bl.rowEdge[i] != bd.ViaEdge || bl.rowV[i] != bd.EntryNode {

@@ -78,7 +78,7 @@ func WaterFillWith(st *broadcast.State, ws *WaterFillWorkspace) (*Result, error)
 		ws = NewWaterFillWorkspace()
 	}
 	g := st.BG.G
-	ws.bl = buildBroadcastLPInto(st, ws.bl)
+	ws.bl = buildBroadcastLPInto(st, ws.bl, 1)
 	bl := ws.bl
 	nRows := bl.model.NumConstraints()
 	nVars := bl.model.NumVars()

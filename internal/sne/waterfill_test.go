@@ -53,7 +53,7 @@ func TestWaterFillAllocsRegression(t *testing.T) {
 	})
 	// Construction allocates O(rows); the pour loop must add nothing,
 	// so the count cannot scale with iterations × A-side size.
-	rows := buildBroadcastLP(st).model.NumConstraints()
+	rows := buildBroadcastLPInto(st, nil, 1).model.NumConstraints()
 	ceiling := float64(12*rows + 64)
 	if allocs > ceiling {
 		t.Fatalf("WaterFill allocated %.0f times per run (%d rows, %d iterations), want ≤ %.0f",

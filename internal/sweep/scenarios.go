@@ -174,8 +174,8 @@ func posSwapScenario() *Scenario {
 // ignored.
 //
 // warm (default 0) — when nonzero each worker chains its LP solves
-// through lp.Basis homotopy (sne.SolveBroadcastLPFrom): instance k warm
-// starts from instance k−1's optimal basis. The optimum — every cost
+// through one sne.BroadcastLPChain: instance k warm starts from instance
+// k−1's optimal basis (lp.Basis homotopy). The optimum — every cost
 // column — is unchanged, but the pivot-count column then depends on the
 // chain, i.e. on the shard layout; leave warm off wherever byte-identical
 // output across layouts matters (the goldens and the resume differential
