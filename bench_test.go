@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,14 +422,13 @@ func serveBenchBodies(b *testing.B, count, n int) [][]byte {
 	return bodies
 }
 
-// benchServeSNE drives the full server path — HTTP round trip, JSON
-// decode, instance parse, LP solve, JSON encode — over the jitter stream.
-// cacheCap < 0 disables the basis cache (every solve cold); the warm
-// variant hits the fingerprint-keyed cache on all but the first instance.
-func benchServeSNE(b *testing.B, cacheCap int) {
-	b.Helper()
+// BenchmarkServeSNEWarm drives the full server path — HTTP round trip,
+// JSON decode, instance parse, LP solve, JSON encode — over the jitter
+// stream; every solve but the first re-solves warm on the chain that
+// solved the instance before it.
+func BenchmarkServeSNEWarm(b *testing.B) {
 	bodies := serveBenchBodies(b, 32, 192)
-	s := serve.New(serve.Config{CacheCap: cacheCap})
+	s := serve.New(serve.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -450,9 +451,6 @@ func benchServeSNE(b *testing.B, cacheCap int) {
 	}
 }
 
-func BenchmarkServeSNECold(b *testing.B) { benchServeSNE(b, -1) }
-func BenchmarkServeSNEWarm(b *testing.B) { benchServeSNE(b, 512) }
-
 // serveBenchFrames serializes the same jitter family into /v2/sne binary
 // frames — the compact-protocol twin of serveBenchBodies.
 func serveBenchFrames(b *testing.B, count, n int) [][]byte {
@@ -466,14 +464,13 @@ func serveBenchFrames(b *testing.B, count, n int) [][]byte {
 	return frames
 }
 
-// benchServeSNEBin drives the binary server path — HTTP round trip,
-// frame decode through pooled scratch, LP solve, frame encode — over the
-// same jitter stream benchServeSNE posts as JSON. The allocs/op gap
-// between the two is the point of the /v2 protocol.
-func benchServeSNEBin(b *testing.B, cacheCap int) {
-	b.Helper()
+// BenchmarkServeSNEBinWarm drives the binary server path — HTTP round
+// trip, frame decode through pooled scratch, LP solve, frame encode —
+// over the same jitter stream BenchmarkServeSNEWarm posts as JSON. The
+// allocs/op gap between the two is the point of the /v2 protocol.
+func BenchmarkServeSNEBinWarm(b *testing.B) {
 	frames := serveBenchFrames(b, 32, 192)
-	s := serve.New(serve.Config{CacheCap: cacheCap})
+	s := serve.New(serve.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -496,9 +493,6 @@ func benchServeSNEBin(b *testing.B, cacheCap int) {
 		}
 	}
 }
-
-func BenchmarkServeSNEBinCold(b *testing.B) { benchServeSNEBin(b, -1) }
-func BenchmarkServeSNEBinWarm(b *testing.B) { benchServeSNEBin(b, 512) }
 
 // benchServeLoad runs the multi-connection load harness against a live
 // server: 8 workers over 8 pooled connections, one benchmark op per
@@ -539,6 +533,34 @@ func benchServeLoad(b *testing.B, binary bool, mixKind string, pipeline int) {
 	}
 	b.ReportMetric(res.ReqPerSec, "req/s")
 	b.ReportMetric(float64(res.P99.Nanoseconds())/1e6, "p99-ms")
+	b.ReportMetric(warmShare(b, ts.URL), "warm-share")
+}
+
+// warmShare scrapes a running server's /metrics for the share of its lp
+// solves that re-solved warm.
+func warmShare(b *testing.B, url string) float64 {
+	b.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solves := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		for _, mode := range []string{"warm", "cold"} {
+			if v, ok := strings.CutPrefix(line, `sned_solves_total{mode="`+mode+`"} `); ok {
+				solves[mode], _ = strconv.ParseFloat(v, 64)
+			}
+		}
+	}
+	if total := solves["warm"] + solves["cold"]; total > 0 {
+		return solves["warm"] / total
+	}
+	return 0
 }
 
 func BenchmarkServeLoadJSONJitter(b *testing.B) { benchServeLoad(b, false, loadgen.MixJitter, 1) }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sned [-addr :8533] [-timeout 30s] [-maxbody 1048576] [-cache 512] [-cacheshards 16] [-cachettl 10m] [-maxinflight 0] [-drain 15s]
+//	sned [-addr :8533] [-timeout 30s] [-maxbody 1048576] [-maxinflight 0] [-drain 15s]
 //
 // Endpoints: POST /v1/check, /v1/sne, /v1/snd, /v1/pos (JSON bodies with
 // the instance in the CLI text format); POST /v2/check, /v2/sne,
@@ -12,11 +12,8 @@
 // length-prefixed frames, bit-identical answers to /v1 at a fraction of
 // the cost; cmd/snedload speaks it); GET /healthz, /metrics. Responses
 // are bit-identical to the sne/snd batch CLIs on the same instances;
-// streams of structurally nearby instances are served warm through the
-// fingerprint-keyed basis cache (see internal/serve). Cached bases
-// expire -cachettl after their last refresh (negative disables expiry),
-// and under eviction pressure a new structure is only admitted on its
-// second sighting, so one-shot instances cannot flush the hot set.
+// an lp request re-solves warm from its pooled solver chain's basis when
+// that chain last solved exactly its structure (see internal/serve).
 //
 // Liveness and readiness are separate probes: /healthz answers ok for
 // as long as the process runs, while /readyz answers 503 before the
@@ -46,20 +43,17 @@ func main() {
 	addr := flag.String("addr", ":8533", "listen address (host:port; :0 picks a free port)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request solve budget")
 	maxBody := flag.Int64("maxbody", 1<<20, "request body size cap in bytes")
-	cacheCap := flag.Int("cache", 512, "basis cache capacity in bases (negative disables caching)")
-	cacheShards := flag.Int("cacheshards", 16, "basis cache lock shards (rounded up to a power of two)")
-	cacheTTL := flag.Duration("cachettl", 10*time.Minute, "basis cache entry lifetime (negative disables expiry)")
 	maxInflight := flag.Int("maxinflight", 0, "shed requests past this many concurrent solves (0 = unlimited)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
 
-	if err := run(*addr, *timeout, *maxBody, *cacheCap, *cacheShards, *cacheTTL, *maxInflight, *drain); err != nil {
+	if err := run(*addr, *timeout, *maxBody, *maxInflight, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "sned:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, timeout time.Duration, maxBody int64, cacheCap, cacheShards int, cacheTTL time.Duration, maxInflight int, drain time.Duration) error {
+func run(addr string, timeout time.Duration, maxBody int64, maxInflight int, drain time.Duration) error {
 	// Catch the stop signals before announcing the address: a supervisor
 	// may send SIGTERM as soon as it reads the "listening on" line, and
 	// that must drain the daemon, not kill it.
@@ -69,9 +63,6 @@ func run(addr string, timeout time.Duration, maxBody int64, cacheCap, cacheShard
 	srv := serve.New(serve.Config{
 		MaxBodyBytes: maxBody,
 		Timeout:      timeout,
-		CacheCap:     cacheCap,
-		CacheShards:  cacheShards,
-		CacheTTL:     cacheTTL,
 		MaxInflight:  maxInflight,
 	})
 	bound, err := srv.Start(addr)

@@ -39,7 +39,7 @@ func TestStartQueryShutdown(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", 10*time.Second, 1<<20, 64, 4, time.Minute, 0, 5*time.Second)
+		done <- run("127.0.0.1:0", 10*time.Second, 1<<20, 0, 5*time.Second)
 	}()
 	// run() prints the bound address to stderr; rather than scrape it,
 	// boot a second server directly for the query check and use the run()
@@ -105,7 +105,7 @@ func TestStartQueryShutdown(t *testing.T) {
 // TestBadAddr: a malformed listen address must surface as an error, not
 // a hung daemon.
 func TestBadAddr(t *testing.T) {
-	if err := run("not-an-address:foo", time.Second, 1<<20, 0, 0, 0, 0, time.Second); err == nil {
+	if err := run("not-an-address:foo", time.Second, 1<<20, 0, time.Second); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }

@@ -20,6 +20,6 @@
 // POST /v1/check, /v1/sne, /v1/snd and /v1/pos accept instances in the
 // CLI text format; GET /healthz and /metrics cover operations. Responses
 // are bit-identical to the sne/snd batch CLIs, and streams of nearby
-// instances are served warm through a fingerprint-keyed basis cache
-// (DESIGN.md §9).
+// instances are re-solved warm from the basis of the pooled solver chain
+// that last held their exact structure (DESIGN.md §9).
 package netdesign

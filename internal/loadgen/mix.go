@@ -13,11 +13,12 @@ import (
 )
 
 // Mix kinds. The jitter mix is the warm-friendly E22 stream: one base
-// graph, non-tree weights rescaled per instance, so every request after
-// the first resolves by basis homotopy. The adversarial mix is the cold
-// worst case: every instance a fresh random structure, shuffled, so no
-// fingerprint ever repeats and the basis cache buys nothing. The mixed
-// stream interleaves the two — the admission policy's home turf.
+// graph, non-tree weights rescaled per instance, so each request after
+// the first on a server chain resolves by basis homotopy. The
+// adversarial mix is the cold worst case: every instance a fresh random
+// structure, shuffled, so every solve is cold. The mixed stream
+// interleaves the two: a jitter request is warm only when the request
+// before it on its chain was one too.
 const (
 	MixJitter      = "jitter"
 	MixAdversarial = "adversarial"
@@ -62,8 +63,8 @@ func Bodies(mix string, binary bool, n, count int, seed int64) ([][]byte, error)
 }
 
 // jitterInstances is the E22 nearby-instance family: the MST (and with
-// it the LP structure fingerprint) provably never changes when only
-// non-tree weights scale upward.
+// it the LP structure) provably never changes when only non-tree
+// weights scale upward.
 func jitterInstances(rng *rand.Rand, n, count int) []*instancefile.Instance {
 	base := graph.RandomConnected(rng, n, 0.15, 0.5, 3)
 	mst, err := graph.MST(base)
@@ -92,8 +93,8 @@ func jitterInstances(rng *rand.Rand, n, count int) []*instancefile.Instance {
 }
 
 // adversarialInstances never repeats a structure: each instance is a
-// fresh random connected graph (size wobbling around n), so every
-// request carries a fingerprint the cache has not seen.
+// fresh random connected graph (size wobbling around n), so no request
+// finds its structure on a server chain.
 func adversarialInstances(rng *rand.Rand, n, count int) []*instancefile.Instance {
 	out := make([]*instancefile.Instance, 0, count)
 	for k := 0; k < count; k++ {

@@ -176,9 +176,6 @@ func TestResolveFromForeignModel(t *testing.T) {
 		if solA.Status != Optimal {
 			continue
 		}
-		if solA.Basis.Fingerprint() != a.StructureFingerprint() {
-			t.Fatalf("trial %d: basis fingerprint not stamped from its model", trial)
-		}
 		b := perturbRHS(a, 0.25+rng.Float64())
 		if a.StructureFingerprint() != b.StructureFingerprint() {
 			t.Fatalf("trial %d: perturbed clone changed the structure fingerprint", trial)

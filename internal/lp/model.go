@@ -281,9 +281,9 @@ func (m *Model) Clone() *Model {
 // upper bounds are finite, row count and row operators — into a 64-bit
 // FNV-1a digest. Coefficient and RHS values are deliberately excluded:
 // two instances of one sweep family (same graph skeleton, perturbed
-// weights) share a fingerprint, which is exactly the compatibility class
-// across which a Basis moves losslessly (cross-instance homotopy). Models
-// with equal fingerprints accept each other's bases without projection;
+// weights) share a fingerprint, and so do unrelated models of equal
+// shape: it names a size class, not a structure. Models with equal
+// fingerprints accept each other's bases without projection;
 // ResolveFrom additionally tolerates differing row blocks by projecting.
 func (m *Model) StructureFingerprint() uint64 {
 	const (

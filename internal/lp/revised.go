@@ -83,23 +83,13 @@ const (
 // optimal basis to its Solution; ResolveFrom(basis) warm starts from it —
 // after AddRow on the same model (row generation), or on a different
 // model with the same variable block (cross-instance homotopy: nearby
-// sweep instances hand their optimal basis down the chain). The
-// Fingerprint identifies the structure the snapshot was taken on.
+// sweep instances hand their optimal basis down the chain).
 type Basis struct {
 	nVars  int
 	nRows  int
-	fp     uint64
 	status []int8
 	basic  []int
 }
-
-// Fingerprint returns the structure fingerprint of the model this basis
-// was captured on (see Model.StructureFingerprint). Two models with equal
-// fingerprints have identical variable blocks and row shapes, so a basis
-// moves between them without projection loss; ResolveFrom additionally
-// accepts any basis whose variable block matches (CompatibleWith) and
-// projects away the row differences.
-func (b *Basis) Fingerprint() uint64 { return b.fp }
 
 // CompatibleWith reports whether ResolveFrom can warm start m from this
 // basis: the variable block must match — rows may differ in both number
@@ -379,7 +369,6 @@ func (s *sparse) snapshot() *Basis {
 	return &Basis{
 		nVars:  s.n,
 		nRows:  s.mr,
-		fp:     s.model.StructureFingerprint(),
 		status: append([]int8(nil), s.status...),
 		basic:  append([]int(nil), s.basic...),
 	}

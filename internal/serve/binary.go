@@ -153,8 +153,8 @@ func (s *Server) binCycle(ctx context.Context, ep int, payload []byte, ws *binWS
 // binSolve appends the response payload for one decoded request; start
 // is where this frame's payload begins in ws.out. The deadline is
 // checked once, after the solve: a request past its budget answers 503
-// no matter what the solver produced (the solve has still warmed the
-// cache — same contract as the /v1 timeout path).
+// no matter what the solver produced (the chain it solved on still
+// keeps the basis — same contract as the /v1 timeout path).
 func (s *Server) binSolve(ctx context.Context, ep int, payload []byte, ws *binWS, start int) int {
 	var aerr *apiError
 	ok := false

@@ -60,10 +60,12 @@ func jsonBytes(t testing.TB, v any) []byte {
 }
 
 // TestBinaryDifferentialMatrix holds every /v2 endpoint bit-identical to
-// its /v1 twin across the full method matrix, with caching disabled so
-// one shared server serves both protocols from identical (cold) state.
+// its /v1 twin across the full method matrix. Each protocol has its own
+// fresh server, so both see the same request sequence from identical
+// state: a shared one would serve /v2 warm off the chain /v1 just left.
 func TestBinaryDifferentialMatrix(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheCap: -1})
+	_, tsJSON := newTestServer(t, Config{})
+	_, tsBin := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(31))
 	texts := []string{cycle5}
 	for trial := 0; trial < 3; trial++ {
@@ -74,8 +76,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 		inst := parse(t, text)
 
 		// check
-		_, rawV1 := post(t, ts, "/v1/check", map[string]any{"instance": text})
-		code, status, body, msg := postBin(t, ts, "/v2/check", wire.AppendCheckRequest(nil, inst))
+		_, rawV1 := post(t, tsJSON, "/v1/check", map[string]any{"instance": text})
+		code, status, body, msg := postBin(t, tsBin, "/v2/check", wire.AppendCheckRequest(nil, inst))
 		if code != 200 || status != wire.StatusOK {
 			t.Fatalf("instance %d check: %d/%d %q", k, code, status, msg)
 		}
@@ -90,8 +92,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 		// sne, all five methods
 		for method := byte(0); method < 5; method++ {
 			name, _ := wire.MethodName(method)
-			_, rawV1 := post(t, ts, "/v1/sne", map[string]any{"instance": text, "method": name})
-			code, status, body, msg := postBin(t, ts, "/v2/sne", wire.AppendSNERequest(nil, inst, method))
+			_, rawV1 := post(t, tsJSON, "/v1/sne", map[string]any{"instance": text, "method": name})
+			code, status, body, msg := postBin(t, tsBin, "/v2/sne", wire.AppendSNERequest(nil, inst, method))
 			if code != 200 || status != wire.StatusOK {
 				t.Fatalf("instance %d sne %s: %d/%d %q", k, name, code, status, msg)
 			}
@@ -105,8 +107,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 		}
 
 		// pos, seeded
-		_, rawV1 = post(t, ts, "/v1/pos", map[string]any{"instance": text, "starts": 3, "seed": 17})
-		code, status, body, msg = postBin(t, ts, "/v2/pos", wire.AppendPoSRequest(nil, inst, 3, 0, 17))
+		_, rawV1 = post(t, tsJSON, "/v1/pos", map[string]any{"instance": text, "starts": 3, "seed": 17})
+		code, status, body, msg = postBin(t, tsBin, "/v2/pos", wire.AppendPoSRequest(nil, inst, 3, 0, 17))
 		if code != 200 || status != wire.StatusOK {
 			t.Fatalf("instance %d pos: %d/%d %q", k, code, status, msg)
 		}
@@ -130,8 +132,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 		{"heuristic", 2.0, false, 0},
 		{"exact", 2.0, true, 100000},
 	} {
-		_, rawV1 := post(t, ts, "/v1/snd", map[string]any{"instance": cycle5, "budget": c.budget, "exact": c.exact, "treelimit": c.limit})
-		code, status, body, msg := postBin(t, ts, "/v2/snd", wire.AppendSNDRequest(nil, inst, c.budget, c.exact, c.limit))
+		_, rawV1 := post(t, tsJSON, "/v1/snd", map[string]any{"instance": cycle5, "budget": c.budget, "exact": c.exact, "treelimit": c.limit})
+		code, status, body, msg := postBin(t, tsBin, "/v2/snd", wire.AppendSNDRequest(nil, inst, c.budget, c.exact, c.limit))
 		if code != 200 || status != wire.StatusOK {
 			t.Fatalf("snd %s: %d/%d %q", c.name, code, status, msg)
 		}
@@ -143,8 +145,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 			t.Fatalf("snd %s drifted:\n v1 %s\n v2 %s", c.name, bytes.TrimSpace(rawV1), jsonBytes(t, nr))
 		}
 	}
-	_, rawV1 := post(t, ts, "/v1/snd", map[string]any{"instance": cycle5, "budget": 1.0})
-	code, status, _, msg := postBin(t, ts, "/v2/snd", wire.AppendSNDRequest(nil, inst, 1.0, false, 0))
+	_, rawV1 := post(t, tsJSON, "/v1/snd", map[string]any{"instance": cycle5, "budget": 1.0})
+	code, status, _, msg := postBin(t, tsBin, "/v2/snd", wire.AppendSNDRequest(nil, inst, 1.0, false, 0))
 	if code != http.StatusUnprocessableEntity || status != wire.StatusUnprocessable {
 		t.Fatalf("snd infeasible: %d/%d", code, status)
 	}
@@ -155,8 +157,8 @@ func TestBinaryDifferentialMatrix(t *testing.T) {
 }
 
 // TestBinaryDifferentialWarm replays the same jitter stream against two
-// identically configured servers — one per protocol — so the cache
-// evolves identically, and holds response k of the binary server
+// identically configured servers — one per protocol — so their chains
+// evolve identically, and holds response k of the binary server
 // byte-identical (as JSON) to response k of the JSON server, warm flags
 // and pivot counts included.
 func TestBinaryDifferentialWarm(t *testing.T) {
@@ -303,7 +305,7 @@ func TestMetricsV2AndRuntime(t *testing.T) {
 }
 
 // TestMetricsZeroTraffic: a freshly started server must scrape cleanly —
-// in particular the cache hit rate is 0, not NaN, with zero lookups.
+// in particular the basis hit rate is 0, not NaN, with zero lp solves.
 func TestMetricsZeroTraffic(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -323,7 +325,7 @@ func TestMetricsZeroTraffic(t *testing.T) {
 }
 
 // TestBinaryCycleAllocs pins the allocation budget of the warm binary
-// request cycle — decode, cached solve, encode — the unit the /v2
+// request cycle — decode, warm solve, encode — the unit the /v2
 // protocol exists to shrink. The /v1 path costs thousands of allocations
 // per request (text parse + encoding/json); the pin holds the binary
 // cycle two orders of magnitude below that.
@@ -337,7 +339,7 @@ func TestBinaryCycleAllocs(t *testing.T) {
 	payload := wire.AppendSNERequest(nil, inst, wire.MethodLP)
 	ws := s.binws.Get().(*binWS)
 	ctx := context.Background()
-	for i := 0; i < 3; i++ { // warm the cache and every scratch buffer
+	for i := 0; i < 3; i++ { // warm the chain and every scratch buffer
 		ws.out = ws.out[:0]
 		if code := s.binCycle(ctx, epSNEV2, payload, ws); code != 200 {
 			t.Fatalf("warmup cycle: %d", code)
@@ -393,7 +395,7 @@ func splitFrames(t testing.TB, raw []byte) [][]byte {
 
 // TestBinaryPipelined pins the pipelining contract: a body carrying
 // several frames is answered frame for frame, byte-identical to sending
-// the same stream as separate requests (twin servers, so cache state
+// the same stream as separate requests (twin servers, so chain state
 // evolves identically), and a malformed frame mid-stream answers its
 // own error frame without derailing the frames after it.
 func TestBinaryPipelined(t *testing.T) {

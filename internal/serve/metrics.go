@@ -38,10 +38,8 @@ type metrics struct {
 	errs [nEndpoints]atomic.Int64
 	lat  [nEndpoints][latBuckets]atomic.Int64
 
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	warmSolves  atomic.Int64
-	coldSolves  atomic.Int64
+	warmSolves atomic.Int64
+	coldSolves atomic.Int64
 
 	inflight atomic.Int64
 	shed     atomic.Int64
@@ -95,13 +93,14 @@ func (m *metrics) quantile(ep int, q float64) float64 {
 }
 
 // render emits the ledger in the flat `name{labels} value` text form
-// scrapers expect. cacheLen is sampled by the caller (the cache knows its
-// own size; the ledger only counts hits and misses). Besides the
-// summary quantiles, each endpoint with traffic exports its full
-// cumulative latency histogram (le = bucket upper bound in seconds), so
-// scrapers can compute any quantile across scrapes instead of trusting
-// the in-process estimate.
-func (m *metrics) render(cacheLen int) string {
+// scrapers expect. Besides the summary quantiles, each endpoint with
+// traffic exports its full cumulative latency histogram (le = bucket
+// upper bound in seconds), so scrapers can compute any quantile across
+// scrapes instead of trusting the in-process estimate. The basis hits and
+// misses are the warm and cold lp solves (a hit: the drawn chain held the
+// request's exact structure); they keep their sned_basis_cache_* names
+// for the scrapers that read them.
+func (m *metrics) render() string {
 	var b strings.Builder
 	for ep := 0; ep < nEndpoints; ep++ {
 		name := endpointNames[ep]
@@ -125,7 +124,7 @@ func (m *metrics) render(cacheLen int) string {
 		fmt.Fprintf(&b, "sned_latency_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
 		fmt.Fprintf(&b, "sned_latency_seconds_count{endpoint=%q} %d\n", name, cum)
 	}
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
+	hits, misses := m.warmSolves.Load(), m.coldSolves.Load()
 	fmt.Fprintf(&b, "sned_basis_cache_hits_total %d\n", hits)
 	fmt.Fprintf(&b, "sned_basis_cache_misses_total %d\n", misses)
 	hitRate := 0.0
@@ -133,9 +132,8 @@ func (m *metrics) render(cacheLen int) string {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	fmt.Fprintf(&b, "sned_basis_cache_hit_rate %g\n", hitRate)
-	fmt.Fprintf(&b, "sned_basis_cache_entries %d\n", cacheLen)
-	fmt.Fprintf(&b, "sned_solves_total{mode=\"warm\"} %d\n", m.warmSolves.Load())
-	fmt.Fprintf(&b, "sned_solves_total{mode=\"cold\"} %d\n", m.coldSolves.Load())
+	fmt.Fprintf(&b, "sned_solves_total{mode=\"warm\"} %d\n", hits)
+	fmt.Fprintf(&b, "sned_solves_total{mode=\"cold\"} %d\n", misses)
 	fmt.Fprintf(&b, "sned_inflight_requests %d\n", m.inflight.Load())
 	fmt.Fprintf(&b, "sned_shed_requests_total %d\n", m.shed.Load())
 	fmt.Fprintf(&b, "sned_uptime_seconds %g\n", time.Since(m.started).Seconds())

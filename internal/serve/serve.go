@@ -3,19 +3,17 @@
 // subsidy/enforcement queries over submitted broadcast instances, at
 // request rates the batch CLIs cannot touch.
 //
-// The speed comes from reusing the sweep stack's warm-start machinery as
-// a serving cache: every LP (3) build is fingerprinted by shape
-// (lp.Model.StructureFingerprint), a bounded sharded LRU maps
-// fingerprints to the freshest optimal basis for that shape, and a hit
-// turns the solve into lp.ResolveFrom basis homotopy — a few dual pivots
-// instead of a cold two-phase simplex. Solver build workspaces
-// (sne.BroadcastLPChain) are pooled per worker, so the steady-state
-// request path allocates only what the answer itself needs.
+// The speed comes from the sweep stack's warm-start machinery: each lp
+// request draws a pooled LP (3) chain (sne.BroadcastLPChain), and when
+// the instance has exactly the structure that chain solved last, the
+// chain patches its model and re-solves from its own optimal basis by
+// lp.ResolveFrom homotopy — a few dual pivots instead of a cold
+// two-phase simplex. Any other instance solves cold.
 //
 // Operationally the server is a long-lived process: per-request solve
 // timeouts, a request-body size cap, /healthz for liveness, /metrics for
-// request counts, p50/p99 latency, cache hit rate and warm-vs-cold solve
-// counts, and graceful shutdown that drains in-flight solves.
+// request counts, p50/p99 latency, basis hit rate and warm-vs-cold
+// solve counts, and graceful shutdown that drains in-flight solves.
 //
 // Endpoints (all bodies JSON; instances travel in the instancefile text
 // format shared with the CLIs):
@@ -40,6 +38,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,24 +59,9 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// Timeout bounds one request end to end; past it the client gets 503
-	// (the solve finishes in the background and still warms the cache).
-	// Default 30s.
+	// (the solve finishes in the background and returns its chain to the
+	// pool). Default 30s.
 	Timeout time.Duration
-
-	// CacheCap bounds the basis cache (total bases across shards).
-	// Default 512; negative disables caching — every solve runs cold,
-	// which is the reference mode the load benchmarks compare against.
-	CacheCap int
-
-	// CacheShards is the lock-sharding factor of the basis cache, rounded
-	// up to a power of two. Default 16.
-	CacheShards int
-
-	// CacheTTL bounds the age of a cached basis: entries older than it
-	// miss (and are dropped) on lookup, so a structure that stopped
-	// arriving cannot pin a stale basis forever. Default 10m; negative
-	// disables expiry.
-	CacheTTL time.Duration
 
 	// MaxInflight caps concurrently served solve requests; past it the
 	// server sheds load instead of queueing: /v1 answers 503 with a
@@ -95,15 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
 	}
-	if c.CacheCap == 0 {
-		c.CacheCap = 512
-	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = 10 * time.Minute
-	}
 	return c
 }
 
@@ -111,9 +86,8 @@ func (c Config) withDefaults() Config {
 // Handler (or Start a listener), stop with Shutdown.
 type Server struct {
 	cfg      Config
-	cache    *basisCache
 	met      *metrics
-	chains   sync.Pool // *sne.BroadcastLPChain — pooled solver build state
+	chains   chainStack
 	decoders sync.Pool // *instancefile.Decoder — pooled text-parse scratch
 	binws    sync.Pool // *binWS — pooled binary request workspaces
 
@@ -136,9 +110,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:      cfg,
-		cache:    newBasisCache(cfg.CacheCap, cfg.CacheShards, cfg.CacheTTL),
 		met:      newMetrics(),
-		chains:   sync.Pool{New: func() any { return sne.NewBroadcastLPChain() }},
+		chains:   chainStack{max: runtime.GOMAXPROCS(0), spill: sync.Pool{New: func() any { return sne.NewBroadcastLPChain() }}},
 		decoders: sync.Pool{New: func() any { return new(instancefile.Decoder) }},
 		binws:    sync.Pool{New: func() any { return new(binWS) }},
 	}
@@ -163,7 +136,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, s.met.render(s.cache.Len()))
+		fmt.Fprint(w, s.met.render())
 	})
 	mux.Handle("/v1/check", s.api(epCheck, s.handleCheck))
 	mux.Handle("/v1/sne", s.api(epSNE, s.handleSNE))
@@ -378,10 +351,8 @@ type sneRequest struct {
 
 // coreSNE computes minimum enforcing subsidies for the submitted
 // instance, mirroring the cmd/sne method switch exactly. The lp method
-// is the served hot path: it runs through a pooled build chain and the
-// fingerprint-keyed basis cache, so streams of structurally identical
-// instances resolve warm. resp.Subsidies is reused as scratch when
-// already allocated (and left non-nil either way, so /v1 renders []).
+// is the served hot path (solveLP). resp.Subsidies is reused as scratch
+// when already allocated (and left non-nil either way, so /v1 renders []).
 func (s *Server) coreSNE(inst *instancefile.Instance, method string, resp *sneResponse) *apiError {
 	st, err := inst.State()
 	if err != nil {
@@ -416,9 +387,13 @@ func (s *Server) coreSNE(inst *instancefile.Instance, method string, resp *sneRe
 		return &apiError{http.StatusUnprocessableEntity, err.Error()}
 	}
 	// The same verification gate the CLI applies: never serve an
-	// assignment that does not enforce the tree.
-	if err := sne.VerifyBroadcast(st, res.Subsidy); err != nil {
-		return &apiError{http.StatusInternalServerError, "result failed verification: " + err.Error()}
+	// assignment that does not enforce the tree. An lp answer has passed
+	// it already, inside the chain's finish step (sne.VerifyBroadcast at
+	// α = 1), so only the other methods are checked here.
+	if method != "lp" {
+		if err := sne.VerifyBroadcast(st, res.Subsidy); err != nil {
+			return &apiError{http.StatusInternalServerError, "result failed verification: " + err.Error()}
+		}
 	}
 	resp.Method = method
 	resp.Cost = res.Cost
@@ -456,31 +431,57 @@ func (s *Server) handleSNE(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solveLP is the warm-start hot path: prepare the LP on a pooled chain,
-// key the basis cache by the model's structure fingerprint, solve warm on
-// a hit, and put the fresh optimal basis back for the next nearby
-// request.
+// solveLP is the warm-start hot path: draw a chain and solve on it, warm
+// when the chain last solved exactly this structure, cold otherwise.
 func (s *Server) solveLP(st *broadcast.State) (*sne.Result, bool, error) {
-	chain := s.chains.Get().(*sne.BroadcastLPChain)
-	defer s.chains.Put(chain)
-	fp := chain.Prepare(st)
-	warmBasis := s.cache.Get(fp)
-	if warmBasis != nil {
-		s.met.cacheHits.Add(1)
-	} else {
-		s.met.cacheMisses.Add(1)
-	}
-	res, usedWarm, err := chain.SolvePrepared(st, warmBasis)
+	chain := s.chains.get()
+	defer s.chains.put(chain)
+	res, warm, err := chain.SolveNearby(st)
 	if err != nil {
-		return nil, usedWarm, err
+		return nil, warm, err
 	}
-	if usedWarm {
+	if warm {
 		s.met.warmSolves.Add(1)
 	} else {
 		s.met.coldSolves.Add(1)
 	}
-	s.cache.Put(fp, res.Basis)
-	return res, usedWarm, nil
+	return res, warm, nil
+}
+
+// chainStack holds the idle LP (3) chains. Up to max of them wait on a
+// stack that hands back the most recently returned chain first, so a
+// connection sending one request after another keeps drawing the chain
+// that holds its structure and basis; sync.Pool's per-P slots would hand
+// it different chains as its goroutines move between Ps. Chains past
+// max (more concurrent solves than Ps) spill into a sync.Pool.
+type chainStack struct {
+	max   int
+	mu    sync.Mutex
+	idle  []*sne.BroadcastLPChain
+	spill sync.Pool
+}
+
+func (p *chainStack) get() *sne.BroadcastLPChain {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		c := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return c
+	}
+	p.mu.Unlock()
+	return p.spill.Get().(*sne.BroadcastLPChain)
+}
+
+func (p *chainStack) put(c *sne.BroadcastLPChain) {
+	p.mu.Lock()
+	if len(p.idle) < p.max {
+		p.idle = append(p.idle, c)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	p.spill.Put(c)
 }
 
 type sndRequest struct {

@@ -36,7 +36,7 @@ func instanceText(t testing.TB, bg *broadcast.Game, tree []int) string {
 
 // jitterFamily builds an E22-style nearby-instance stream: one base
 // graph, each instance scaling every non-MST edge upward — the MST (and
-// therefore the LP structure fingerprint) provably never changes, so a
+// therefore the LP structure) provably never changes, so a
 // warm server resolves the whole stream by basis homotopy.
 func jitterFamily(t testing.TB, n, count int, seed int64, jitter float64) []string {
 	t.Helper()
@@ -212,11 +212,12 @@ func assertSNEBitIdentical(t *testing.T, got sneResponse, st *broadcast.State, r
 	}
 }
 
-// TestSNEDifferentialColdMatchesCLI: with caching disabled (every solve
-// cold, like the batch CLI) the server must reproduce the cmd/sne solver
-// paths bit for bit, across methods and instances.
+// TestSNEDifferentialColdMatchesCLI: every trial is a new structure, so
+// every lp solve runs cold, like the batch CLI, and the server must
+// reproduce the cmd/sne solver paths bit for bit, across methods and
+// instances.
 func TestSNEDifferentialColdMatchesCLI(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheCap: -1})
+	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(42))
 	methods := []string{"lp", "theorem6", "aon", "greedy", "full"}
 	for trial := 0; trial < 6; trial++ {
@@ -243,7 +244,7 @@ func TestSNEDifferentialColdMatchesCLI(t *testing.T) {
 			}
 			got := decode[sneResponse](t, raw)
 			if got.Warm {
-				t.Fatalf("trial %d %s: cache-disabled server reported a warm solve", trial, method)
+				t.Fatalf("trial %d %s: new structure reported a warm solve", trial, method)
 			}
 			ref := sneDirect(t, st, method)
 			assertSNEBitIdentical(t, got, st, ref, fmt.Sprintf("trial %d %s", trial, method))
@@ -252,9 +253,9 @@ func TestSNEDifferentialColdMatchesCLI(t *testing.T) {
 }
 
 // TestSNEDifferentialWarmMatchesChain: on a nearby-instance stream the
-// cached server path must be bit-identical to driving a
-// sne.BroadcastLPChain by hand — the server adds routing, caching and
-// pooling around the chain, never numerics. And the warm cost must agree
+// served path must be bit-identical to driving a sne.BroadcastLPChain by
+// hand — the server adds routing and pooling around the chain, never
+// numerics. And the warm cost must agree
 // with the cold optimum to LP tolerance (the homotopy changes the pivot
 // path, not the optimum).
 func TestSNEDifferentialWarmMatchesChain(t *testing.T) {
@@ -480,7 +481,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sned_basis_cache_hits_total 3",
 		"sned_basis_cache_misses_total 1",
 		"sned_basis_cache_hit_rate 0.75",
-		"sned_basis_cache_entries 1",
 		`sned_solves_total{mode="warm"} 3`,
 		`sned_solves_total{mode="cold"} 1`,
 	} {
@@ -495,13 +495,14 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // ---- concurrency ----
 
-// TestConcurrentCacheStress hammers one server with parallel clients over
-// a jitter family (all sharing a fingerprint) mixed with singleton
-// structures (cache churn), asserting every answer equals the cold
-// optimum of its instance. Run under -race this is the data-race gate for
-// the cache, the metrics ledger and the pooled chains.
-func TestConcurrentCacheStress(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheCap: 8, CacheShards: 2})
+// TestConcurrentChainStress hammers one server with parallel clients over
+// a jitter family (one structure) mixed with singleton structures, so
+// the pooled chains flip between patching and rebuilding, asserting
+// every answer equals the cold optimum of its instance. Run under -race
+// this is the data-race gate for the chain stack, the metrics ledger and
+// the chains themselves.
+func TestConcurrentChainStress(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	family := jitterFamily(t, 14, 6, 11, 0.25)
 	singles := jitterFamily(t, 10, 3, 13, 0.25)
 	texts := append(append([]string{}, family...), singles...)
@@ -553,144 +554,69 @@ func TestConcurrentCacheStress(t *testing.T) {
 	}
 }
 
-// ---- cache unit tests ----
-
-func TestBasisCacheLRUEviction(t *testing.T) {
-	// One shard of capacity 2: inserting a third distinct fingerprint
-	// evicts the least recently used. The fingerprint is the key; the
-	// cache never inspects the basis, so one real basis serves all slots.
-	st, err := parse(t, cycle5).State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sne.SolveBroadcastLP(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Basis
-	if b == nil {
-		t.Fatal("LP solve returned no basis")
-	}
-
-	c := newBasisCache(2, 1, 0)
-	c.Put(1, b)
-	c.Put(2, b)
-	if c.Get(1) == nil { // touch 1 → 2 becomes LRU
-		t.Fatal("fp 1 missing before eviction")
-	}
-	// Admission under pressure: a new fingerprint's first sighting only
-	// registers at the doorkeeper — nothing is evicted for it.
-	c.Put(3, b)
-	if c.Len() != 2 {
-		t.Fatalf("cache len %d after first sighting, want 2", c.Len())
-	}
-	if c.Get(3) != nil {
-		t.Error("fp 3 admitted on first sighting under pressure")
-	}
-	if c.Get(1) == nil || c.Get(2) == nil {
-		t.Error("resident entry evicted by a first sighting")
-	}
-	c.Get(1) // touch 1 again → 2 is LRU
-	// Second sighting admits and evicts the LRU entry.
-	c.Put(3, b)
-	if c.Len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.Len())
-	}
-	if c.Get(2) != nil {
-		t.Error("LRU entry 2 survived second-sighting eviction")
-	}
-	if c.Get(1) == nil || c.Get(3) == nil {
-		t.Error("recently used entries evicted")
-	}
-	// Update-in-place must not grow the cache.
-	c.Put(3, b)
-	if c.Len() != 2 {
-		t.Fatalf("update-in-place changed len to %d", c.Len())
-	}
-}
-
-func TestBasisCacheTTL(t *testing.T) {
-	st, err := parse(t, cycle5).State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sne.SolveBroadcastLP(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Basis
-
-	c := newBasisCache(4, 1, 5*time.Millisecond)
-	c.Put(1, b)
-	if c.Get(1) == nil {
-		t.Fatal("fresh entry missing")
-	}
-	time.Sleep(10 * time.Millisecond)
-	if c.Get(1) != nil {
-		t.Error("expired entry served")
-	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry still resident: len %d", c.Len())
-	}
-	// Re-putting after expiry restores service.
-	c.Put(1, b)
-	if c.Get(1) == nil {
-		t.Error("re-put after expiry missing")
-	}
-}
-
-func TestBasisCacheAdmissionAdversarialMix(t *testing.T) {
-	// The scenario the doorkeeper exists for: a hot jitter family (one
-	// fingerprint, recurring) interleaved with a stream of one-shot
-	// structures, against a cache too small to hold them all. Plain LRU
-	// would evict the hot basis on every burst of singles — hit rate
-	// collapses to ~0. With admission, singles are never seen twice, so
-	// they never displace the resident basis: every jitter revisit after
-	// the first must hit.
-	st, err := parse(t, cycle5).State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sne.SolveBroadcastLP(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Basis
-
-	c := newBasisCache(2, 1, 0)
-	const hotFP = uint64(7)
-	hits, lookups := 0, 0
-	oneShot := uint64(1000)
-	for round := 0; round < 50; round++ {
-		if c.Get(hotFP) != nil {
-			hits++
+// TestShapeCollisionSolvesCold posts two instances whose LP (3) models
+// have the same shape — equal n, equal row count, so equal
+// lp.Model.StructureFingerprint — but different structure: the second
+// relabels every non-root node of the first. The second answer must not
+// warm-start from the first's basis: it reports Warm=false, is
+// bit-identical to the cold sne.SolveBroadcastLP, and counts as a miss.
+func TestShapeCollisionSolvesCold(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	a := parse(t, jitterFamily(t, 12, 1, 29, 0.2)[0])
+	n := a.Game.G.N()
+	g := graph.New(n)
+	relabel := func(v int) int {
+		if v == 0 {
+			return 0
 		}
-		lookups++
-		c.Put(hotFP, b)
-		// Burst of never-repeating structures between hot touches.
-		for j := 0; j < 3; j++ {
-			oneShot++
-			if c.Get(oneShot) != nil {
-				t.Fatalf("one-shot fingerprint %d hit", oneShot)
-			}
-			c.Put(oneShot, b)
+		return n - v
+	}
+	for _, e := range a.Game.G.Edges() {
+		g.AddEdge(relabel(e.U), relabel(e.V), e.W)
+	}
+	bg, err := broadcast.NewGame(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{instanceText(t, a.Game, a.Tree), instanceText(t, bg, a.Tree)}
+	var sts [2]*broadcast.State
+	for i, text := range texts {
+		if sts[i], err = parse(t, text).State(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if hits < lookups-1 {
-		t.Fatalf("hot fingerprint hit %d/%d lookups; admission failed to protect it", hits, lookups)
+	if sne.NewBroadcastLPChain().Prepare(sts[0]) != sne.NewBroadcastLPChain().Prepare(sts[1]) {
+		t.Fatal("the relabeled instance changed the shape fingerprint")
 	}
-}
-
-func TestBasisCacheDisabled(t *testing.T) {
-	var c *basisCache // capacity <= 0 → nil cache
-	if c.Get(42) != nil {
-		t.Error("nil cache returned a basis")
+	var got sneResponse
+	for i, text := range texts {
+		resp, raw := post(t, ts, "/v1/sne", map[string]any{"instance": text})
+		if resp.StatusCode != 200 {
+			t.Fatalf("instance %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		got = decode[sneResponse](t, raw)
 	}
-	c.Put(42, nil)
-	if c.Len() != 0 {
-		t.Error("nil cache has entries")
+	if got.Warm {
+		t.Fatal("a different structure of equal shape was solved warm")
 	}
-	if newBasisCache(0, 4, 0) != nil || newBasisCache(-1, 4, 0) != nil {
-		t.Error("capacity <= 0 should disable the cache")
+	ref, err := sne.SolveBroadcastLP(sts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSNEBitIdentical(t, got, sts[1], ref, "relabeled instance")
+	if got.Pivots != ref.Pivots {
+		t.Fatalf("pivots %d, cold solve %d", got.Pivots, ref.Pivots)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	b.ReadFrom(resp.Body)
+	for _, want := range []string{"sned_basis_cache_hits_total 0\n", "sned_basis_cache_misses_total 2\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"netdesign/internal/serve/wire"
 )
@@ -23,7 +22,16 @@ func TestOverloadShed(t *testing.T) {
 			close(release)
 		}
 	}()
-	s.preSolve = func() { <-release }
+	// entered is the handshake that the admitted request holds its slot:
+	// the inflight gauge rises before preSolve runs.
+	entered := make(chan struct{}, 1)
+	s.preSolve = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}
 
 	type result struct {
 		code int
@@ -34,14 +42,7 @@ func TestOverloadShed(t *testing.T) {
 		resp, body := post(t, ts, "/v1/check", instanceRequest{Instance: cycle5})
 		first <- result{resp.StatusCode, body}
 	}()
-	// The shed decision is the inflight gauge; wait for the blocked
-	// solve to be counted before probing.
-	for i := 0; s.met.inflight.Load() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("first request never went in flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-entered
 
 	resp, body := post(t, ts, "/v1/check", instanceRequest{Instance: cycle5})
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -276,10 +276,9 @@ func (c *BroadcastLPChain) Solve(st *broadcast.State) (*Result, error) {
 }
 
 // Prepare builds the LP (3) of st into the chain's workspace — without
-// solving — and returns the model's structure fingerprint. The
-// fingerprint is the key a serving layer uses to look up a warm basis
-// from a structurally identical earlier instance (a basis cache) before
-// committing to a solve; follow with SolvePrepared.
+// solving — and returns the model's shape-only structure fingerprint
+// (lp.Model.StructureFingerprint; unrelated structures of equal size
+// share it). Follow with SolvePrepared.
 //
 // When st has exactly the structure of the previously prepared state
 // (lpShape), Prepare patches the bounds and row constants of the model
@@ -291,14 +290,32 @@ func (c *BroadcastLPChain) Prepare(st *broadcast.State) uint64 {
 }
 
 // prepare is Prepare at approximation factor alpha, without the
-// fingerprint.
-func (c *BroadcastLPChain) prepare(st *broadcast.State, alpha float64) {
+// fingerprint. It reports whether it patched: st has exactly the
+// structure the chain last prepared.
+func (c *BroadcastLPChain) prepare(st *broadcast.State, alpha float64) bool {
 	if c.bl != nil && c.shape.matches(st, c.bl.edgeOf, alpha) {
 		c.bl.patch(st, alpha)
-		return
+		return true
 	}
 	c.bl = buildBroadcastLPInto(st, c.bl, alpha)
 	c.shape.record(st, alpha)
+	return false
+}
+
+// SolveNearby solves the LP (3) of st, warm-starting from the chain's
+// basis only when st has exactly the structure the chain last prepared
+// (any other state solves cold), and reports whether it warm-started.
+// A failed solve drops the basis, which then fits no held structure.
+func (c *BroadcastLPChain) SolveNearby(st *broadcast.State) (*Result, bool, error) {
+	var warm *lp.Basis
+	if c.prepare(st, 1) {
+		warm = c.basis
+	}
+	_, res, err := c.solve(st, warm)
+	if err != nil {
+		c.basis = nil
+	}
+	return res, warm != nil, err
 }
 
 // SolvePrepared solves the LP built by the immediately preceding Prepare,

@@ -268,6 +268,52 @@ func TestChainRebuildsOnStructureChange(t *testing.T) {
 	}
 }
 
+// TestChainSolveNearby walks a jitter family through SolveNearby: the
+// first member solves cold, every later one warm from the previous
+// member's basis, bit-identical to Solve on a second chain. A state
+// with the same shape fingerprint but another variable order (reversed
+// tree edges) must then solve cold, bit-identical to SolveBroadcastLP.
+func TestChainSolveNearby(t *testing.T) {
+	sts := chainJitterFamily(t, 32, 6)
+	c, ref := NewBroadcastLPChain(), NewBroadcastLPChain()
+	for i, st := range sts {
+		got, warm, err := c.SolveNearby(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != (i > 0) {
+			t.Fatalf("member %d: warm %v, want %v", i, warm, i > 0)
+		}
+		want, err := ref.Solve(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := resultDiff(got, want); d != "" {
+			t.Fatalf("member %d: %s", i, d)
+		}
+	}
+	last := sts[len(sts)-1]
+	other := mustState(t, last.BG.G, 0, nil, slices.Clone(last.Tree.EdgeIDs))
+	slices.Reverse(other.Tree.EdgeIDs)
+	if NewBroadcastLPChain().Prepare(other) != NewBroadcastLPChain().Prepare(last) {
+		t.Fatal("reversed tree-edge order changed the shape fingerprint")
+	}
+	got, warm, err := c.SolveNearby(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		t.Fatal("structure change solved warm")
+	}
+	want, err := SolveBroadcastLP(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := resultDiff(got, want); d != "" {
+		t.Fatalf("structure change: %s", d)
+	}
+}
+
 // TestChainPreparePatchAllocs pins the patch path at zero allocations:
 // once the chain has built the structure, preparing further members of
 // the family only rewrites the model in place.
