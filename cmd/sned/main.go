@@ -23,6 +23,11 @@
 // it /v1 sheds with 503 + Retry-After and /v2 with an unavailable
 // frame, counted by sned_shed_requests_total in /metrics.
 //
+// -timeout is each request's budget, on /v1 and /v2 alike. It does not
+// stop a running solve: a request whose solve returns past it answers
+// 503 "request timed out" then (/v2: an unavailable frame), and counts
+// against -maxinflight until then.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,
 // in-flight solves drain for up to -drain, then the process exits 0.
 package main
@@ -41,7 +46,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8533", "listen address (host:port; :0 picks a free port)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request solve budget")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request budget; a solve that returns past it answers 503 \"request timed out\"")
 	maxBody := flag.Int64("maxbody", 1<<20, "request body size cap in bytes")
 	maxInflight := flag.Int("maxinflight", 0, "shed requests past this many concurrent solves (0 = unlimited)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")

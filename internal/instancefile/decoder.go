@@ -132,6 +132,11 @@ func (d *Decoder) Decode(data []byte) (*Instance, error) {
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("instancefile: missing or invalid 'root'")
 	}
+	// n nodes need n-1 edges to span, so refuse a larger count before
+	// allocating it: "nodes 1000000000" alone must not build a graph.
+	if n > len(d.edges)+1 {
+		return nil, fmt.Errorf("instancefile: %d nodes cannot be spanned by %d edges", n, len(d.edges))
+	}
 	tree := d.tree
 	if len(tree) == 0 {
 		// Matches Read's historical nil-until-appended semantics: a bare

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"netdesign/internal/serve/wire"
 )
@@ -17,11 +16,13 @@ import (
 // response buffer a single pooled workspace can be made to hold.
 const maxPipelineFrames = 256
 
-// binWS is one /v2 request's worth of reusable state: the wire decoder's
-// parse tables, the frame read buffer, the response build buffer, and the
-// response structs themselves. Pooled on the Server, a steady-state
-// binary request allocates only what the solver's answer owns.
-type binWS struct {
+// workspace is one request's worth of reusable state: the wire
+// decoder's parse tables, the frame read buffer, the response build
+// buffer, and the response structs themselves. api draws one from the
+// Server's pool for every request, so a steady-state /v2 request
+// allocates only what the solver's answer owns; /v1 uses only the
+// response structs.
+type workspace struct {
 	dec   wire.ReqDecoder
 	frame []byte // request frame payload buffer (grown once, then reused)
 	out   []byte // response frame build buffer
@@ -33,42 +34,11 @@ type binWS struct {
 	pos   posResponse
 }
 
-// binAPI wraps one binary endpoint with the same operational envelope
-// api gives the JSON endpoints — inflight gauge, per-endpoint count,
-// latency and error metrics — but without http.TimeoutHandler: the
-// response is built in a pooled buffer and written once, and the solve
-// budget is a context deadline checked after the solve, so nothing
-// buffers a second copy of the response.
-func (s *Server) binAPI(ep int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		if s.overloaded(n) {
-			s.met.shed.Add(1)
-			s.met.observe(ep, 0, true)
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Retry-After", "1")
-			ws := s.binws.Get().(*binWS)
-			binFail(w, ws, http.StatusServiceUnavailable, wire.StatusUnavailable, "server overloaded, retry later")
-			s.binws.Put(ws)
-			return
-		}
-		t0 := time.Now()
-		code := s.serveBinary(ep, w, r)
-		s.met.observe(ep, time.Since(t0), code >= 400)
-	})
-}
-
-// serveBinary runs one binary request end to end and returns the HTTP
-// status it wrote. A body may pipeline several frames: each is answered
-// with its own response frame, in order, in one HTTP round trip.
-func (s *Server) serveBinary(ep int, w http.ResponseWriter, r *http.Request) int {
-	ws := s.binws.Get().(*binWS)
-	defer s.binws.Put(ws)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if r.Method != http.MethodPost {
-		return binFail(w, ws, http.StatusMethodNotAllowed, wire.StatusBadRequest, "POST only")
-	}
+// serveBinary is the /v2 body of api: it runs one binary request end to
+// end and returns the HTTP status it wrote. A body may pipeline several
+// frames: each is answered with its own response frame, in order, in one
+// HTTP round trip. The response is built in ws.out and written once.
+func (s *Server) serveBinary(ctx context.Context, ep int, w http.ResponseWriter, r *http.Request, ws *workspace) int {
 	// The frame length prefix enforces the per-frame cap before any
 	// payload is read; the MaxBytesReader (pipelined worst case) only
 	// backstops clients whose prefixes lie short.
@@ -76,14 +46,12 @@ func (s *Server) serveBinary(ep int, w http.ResponseWriter, r *http.Request) int
 	payload, err := wire.ReadFrame(body, ws.frame, int(s.cfg.MaxBodyBytes))
 	if err != nil {
 		if errors.Is(err, wire.ErrFrameTooLarge) {
-			return binFail(w, ws, http.StatusRequestEntityTooLarge, wire.StatusTooLarge, err.Error())
+			return binFail(w, ws, http.StatusRequestEntityTooLarge, err.Error())
 		}
-		return binFail(w, ws, http.StatusBadRequest, wire.StatusBadRequest, err.Error())
+		return binFail(w, ws, http.StatusBadRequest, err.Error())
 	}
 	ws.frame = payload
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
 	ws.out = ws.out[:0]
 	code := s.binCycle(ctx, ep, payload, ws)
 	// Pipelining: further frames in the same body are answered with
@@ -119,17 +87,18 @@ func (s *Server) serveBinary(ep int, w http.ResponseWriter, r *http.Request) int
 }
 
 // appendErrorFrame appends one complete error frame to ws.out.
-func appendErrorFrame(ws *binWS, status byte, msg string) {
+func appendErrorFrame(ws *workspace, status byte, msg string) {
 	base := len(ws.out)
 	ws.out = append(ws.out, 0, 0, 0, 0)
 	ws.out = wire.AppendError(ws.out, status, msg)
 	binary.LittleEndian.PutUint32(ws.out[base:], uint32(len(ws.out)-base-4))
 }
 
-// binFail writes a complete error frame and returns its HTTP code.
-func binFail(w http.ResponseWriter, ws *binWS, httpCode int, status byte, msg string) int {
+// binFail writes a complete error frame, with the wire status binStatus
+// maps httpCode onto, and returns httpCode.
+func binFail(w http.ResponseWriter, ws *workspace, httpCode int, msg string) int {
 	ws.out = wire.AppendFrame(ws.out[:0], nil)
-	ws.out = wire.AppendError(ws.out, status, msg)
+	ws.out = wire.AppendError(ws.out, binStatus(httpCode), msg)
 	binary.LittleEndian.PutUint32(ws.out[:4], uint32(len(ws.out)-4))
 	w.WriteHeader(httpCode)
 	w.Write(ws.out)
@@ -142,7 +111,7 @@ func binFail(w http.ResponseWriter, ws *binWS, httpCode int, status byte, msg st
 // is what lets pipelined frames share the buffer). It is the unit the
 // alloc budget is pinned on: no HTTP, no pool round-trip, just the work
 // one request costs.
-func (s *Server) binCycle(ctx context.Context, ep int, payload []byte, ws *binWS) int {
+func (s *Server) binCycle(ctx context.Context, ep int, payload []byte, ws *workspace) int {
 	base := len(ws.out)
 	ws.out = append(ws.out, 0, 0, 0, 0) // reserve the length prefix
 	code := s.binSolve(ctx, ep, payload, ws, base+4)
@@ -154,51 +123,32 @@ func (s *Server) binCycle(ctx context.Context, ep int, payload []byte, ws *binWS
 // is where this frame's payload begins in ws.out. The deadline is
 // checked once, after the solve: a request past its budget answers 503
 // no matter what the solver produced (the chain it solved on still
-// keeps the basis — same contract as the /v1 timeout path).
-func (s *Server) binSolve(ctx context.Context, ep int, payload []byte, ws *binWS, start int) int {
-	var aerr *apiError
-	ok := false
+// keeps the basis — the same contract as /v1).
+func (s *Server) binSolve(ctx context.Context, ep int, payload []byte, ws *workspace, start int) int {
+	var q request
+	var err error
 	switch ep {
 	case epCheckV2:
-		inst, err := ws.dec.Check(payload)
-		if err != nil {
-			return binDecodeErr(ws, err)
-		}
-		if aerr = s.coreCheck(inst, &ws.check, &ws.viol); aerr == nil {
-			ok = true
-		}
+		q.inst, err = ws.dec.Check(payload)
 	case epSNEV2:
-		inst, method, err := ws.dec.SNE(payload)
-		if err != nil {
-			return binDecodeErr(ws, err)
-		}
-		if aerr = s.coreSNE(inst, method, &ws.sne); aerr == nil {
-			ok = true
-		}
+		q.inst, q.method, err = ws.dec.SNE(payload)
 	case epSNDV2:
-		inst, budget, exact, treeLimit, err := ws.dec.SND(payload)
-		if err != nil {
-			return binDecodeErr(ws, err)
-		}
-		if aerr = s.coreSND(inst, budget, exact, treeLimit, &ws.snd); aerr == nil {
-			ok = true
-		}
+		q.inst, q.budget, q.exact, q.treeLimit, err = ws.dec.SND(payload)
 	case epPoSV2:
-		inst, starts, maxSteps, seed, err := ws.dec.PoS(payload)
-		if err != nil {
-			return binDecodeErr(ws, err)
-		}
-		if aerr = s.corePoS(inst, starts, maxSteps, seed, &ws.pos); aerr == nil {
-			ok = true
-		}
+		q.inst, q.starts, q.maxSteps, q.seed, err = ws.dec.PoS(payload)
 	default:
 		panic("serve: binSolve on a non-binary endpoint")
 	}
+	if err != nil {
+		ws.out = wire.AppendError(ws.out, wire.StatusBadRequest, err.Error())
+		return http.StatusBadRequest
+	}
+	_, aerr := s.solve(ctx, ep, &q, ws)
 	if ctx.Err() != nil {
 		ws.out = wire.AppendError(ws.out[:start], wire.StatusUnavailable, "request timed out")
 		return http.StatusServiceUnavailable
 	}
-	if !ok {
+	if aerr != nil {
 		ws.out = wire.AppendError(ws.out, binStatus(aerr.code), aerr.msg)
 		return aerr.code
 	}
@@ -215,17 +165,10 @@ func (s *Server) binSolve(ctx context.Context, ep int, payload []byte, ws *binWS
 	return http.StatusOK
 }
 
-// binDecodeErr appends the 400 frame body for a request that failed wire
-// decoding.
-func binDecodeErr(ws *binWS, err error) int {
-	ws.out = wire.AppendError(ws.out, wire.StatusBadRequest, err.Error())
-	return http.StatusBadRequest
-}
-
-// binStatus maps an apiError's HTTP code onto its wire status byte.
+// binStatus maps an error's HTTP code onto its wire status byte.
 func binStatus(code int) byte {
 	switch code {
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusMethodNotAllowed:
 		return wire.StatusBadRequest
 	case http.StatusUnprocessableEntity:
 		return wire.StatusUnprocessable

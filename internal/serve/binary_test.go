@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"netdesign/internal/serve/wire"
 )
@@ -43,6 +41,15 @@ func postBin(t testing.TB, ts *httptest.Server, path string, payload []byte) (in
 		t.Fatalf("%s: response status decode: %v", path, err)
 	}
 	return resp.StatusCode, status, body, msg
+}
+
+// binStatusOf is the status byte the first response frame of a /v2
+// answer with HTTP status code carries.
+func binStatusOf(code int) byte {
+	if code == http.StatusOK {
+		return wire.StatusOK
+	}
+	return binStatus(code)
 }
 
 // jsonBytes marshals v the way writeJSON renders a /v1 response body, so
@@ -212,14 +219,19 @@ func TestBinaryRejections(t *testing.T) {
 		}
 	}
 
-	// GET is rejected with a frame too.
+	// GET is rejected with a StatusBadRequest frame too.
 	resp, err := http.Get(ts.URL + "/v2/sne")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	var get bytes.Buffer
+	get.ReadFrom(resp.Body)
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d, want 405", resp.StatusCode)
+	}
+	if frames := splitFrames(t, get.Bytes()); len(frames) != 1 || len(frames[0]) < 5 || frames[0][4] != wire.StatusBadRequest {
+		t.Errorf("GET: body %v, want one StatusBadRequest frame", get.Bytes())
 	}
 
 	// A length prefix past the cap is refused without reading the body.
@@ -231,37 +243,6 @@ func TestBinaryRejections(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("lying prefix: status %d, want 413", resp2.StatusCode)
-	}
-}
-
-// TestBinaryTimeout: the /v2 solve budget is a context deadline — a
-// solve running past it answers a 503 frame, and the server stays
-// healthy.
-func TestBinaryTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{Timeout: 20 * time.Millisecond})
-	var slow atomic.Bool
-	slow.Store(true)
-	s.preSolve = func() {
-		if slow.Load() {
-			time.Sleep(200 * time.Millisecond)
-		}
-	}
-	inst := parse(t, cycle5)
-	payload := wire.AppendSNERequest(nil, inst, wire.MethodLP)
-	code, status, _, msg := postBin(t, ts, "/v2/sne", payload)
-	if code != http.StatusServiceUnavailable || status != wire.StatusUnavailable {
-		t.Fatalf("timeout: %d/%d %q", code, status, msg)
-	}
-	if !strings.Contains(msg, "timed out") {
-		t.Fatalf("timeout message %q", msg)
-	}
-	slow.Store(false)
-	code, status, _, msg = postBin(t, ts, "/v2/sne", payload)
-	if code != 200 || status != wire.StatusOK {
-		t.Fatalf("post-timeout: %d/%d %q", code, status, msg)
-	}
-	if s.met.errs[epSNEV2].Load() == 0 {
-		t.Error("timeout not counted as a v2 endpoint error")
 	}
 }
 
@@ -337,7 +318,7 @@ func TestBinaryCycleAllocs(t *testing.T) {
 	family := jitterFamily(t, 16, 1, 13, 0.15)
 	inst := parse(t, family[0])
 	payload := wire.AppendSNERequest(nil, inst, wire.MethodLP)
-	ws := s.binws.Get().(*binWS)
+	ws := s.ws.Get().(*workspace)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // warm the chain and every scratch buffer
 		ws.out = ws.out[:0]

@@ -1,4 +1,4 @@
-// Package serve is the subsidy-as-a-service layer: a concurrent HTTP/JSON
+// Package serve is the subsidy-as-a-service layer: a concurrent HTTP
 // daemon (cmd/sned) answering equilibrium-check, PoS-estimate and
 // subsidy/enforcement queries over submitted broadcast instances, at
 // request rates the batch CLIs cannot touch.
@@ -10,19 +10,26 @@
 // lp.ResolveFrom homotopy — a few dual pivots instead of a cold
 // two-phase simplex. Any other instance solves cold.
 //
-// Operationally the server is a long-lived process: per-request solve
-// timeouts, a request-body size cap, /healthz for liveness, /metrics for
+// Operationally the server is a long-lived process. Every solve route,
+// /v1 and /v2 alike, runs through one request envelope: an inflight
+// gauge with load shedding past Config.MaxInflight, POST only, a
+// request-body size cap, and one context deadline per request. The
+// deadline is checked when the solve returns: a request past its budget
+// answers 503 "request timed out" then, and holds its inflight slot
+// until then. /healthz answers liveness, /readyz readiness, /metrics
 // request counts, p50/p99 latency, basis hit rate and warm-vs-cold
-// solve counts, and graceful shutdown that drains in-flight solves.
+// solve counts; graceful shutdown drains in-flight solves.
 //
-// Endpoints (all bodies JSON; instances travel in the instancefile text
-// format shared with the CLIs):
+// Endpoints (/v1 bodies are JSON with the instance in the instancefile
+// text format shared with the CLIs; /v2 bodies are the binary frames of
+// package wire, carrying the same requests):
 //
 //	POST /v1/check  {"instance": ...}                      → equilibrium verdict + violation
 //	POST /v1/sne    {"instance": ..., "method": "lp"}      → minimum enforcing subsidies
 //	POST /v1/snd    {"instance": ..., "budget": B, ...}    → budgeted stable design
 //	POST /v1/pos    {"instance": ..., "starts": k, ...}    → PoS estimate (swap descent)
-//	GET  /healthz                                          → "ok"
+//	POST /v2/check, /v2/sne, /v2/snd, /v2/pos              → the same, as binary frames
+//	GET  /healthz, /readyz                                 → "ok", "ready" or 503 "draining"
 //	GET  /metrics                                          → operational counters
 //
 // Responses are bit-identical to the corresponding batch solvers — the
@@ -58,9 +65,11 @@ type Config struct {
 	// 413 before any parsing. Default 1 MiB.
 	MaxBodyBytes int64
 
-	// Timeout bounds one request end to end; past it the client gets 503
-	// (the solve finishes in the background and returns its chain to the
-	// pool). Default 30s.
+	// Timeout is each request's budget, a context deadline set when the
+	// request is admitted. The solve is not interrupted: when it returns
+	// past the deadline, the client gets 503 "request timed out" (/v1 a
+	// JSON error, /v2 a StatusUnavailable frame) instead of its answer,
+	// and the request holds its inflight slot until then. Default 30s.
 	Timeout time.Duration
 
 	// MaxInflight caps concurrently served solve requests; past it the
@@ -89,11 +98,12 @@ type Server struct {
 	met      *metrics
 	chains   chainStack
 	decoders sync.Pool // *instancefile.Decoder — pooled text-parse scratch
-	binws    sync.Pool // *binWS — pooled binary request workspaces
+	ws       sync.Pool // *workspace — pooled per-request workspaces
 
-	// preSolve, when non-nil, runs before every solve; tests inject
-	// latency here to exercise the timeout path deterministically.
-	preSolve func()
+	// preSolve, when non-nil, runs after decode and before every solve,
+	// with the request's context; tests block here to hold a request in
+	// flight or past its deadline.
+	preSolve func(ctx context.Context)
 
 	// ready gates /readyz: false until Start has a listener bound, false
 	// again the instant Shutdown begins draining — so a load balancer
@@ -113,12 +123,12 @@ func New(cfg Config) *Server {
 		met:      newMetrics(),
 		chains:   chainStack{max: runtime.GOMAXPROCS(0), spill: sync.Pool{New: func() any { return sne.NewBroadcastLPChain() }}},
 		decoders: sync.Pool{New: func() any { return new(instancefile.Decoder) }},
-		binws:    sync.Pool{New: func() any { return new(binWS) }},
+		ws:       sync.Pool{New: func() any { return new(workspace) }},
 	}
 }
 
-// Handler returns the server's full route table with the operational
-// middleware (metrics, body cap, per-request timeout) applied.
+// Handler returns the server's full route table, every solve route
+// wrapped in the request envelope (api).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -138,14 +148,14 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, s.met.render())
 	})
-	mux.Handle("/v1/check", s.api(epCheck, s.handleCheck))
-	mux.Handle("/v1/sne", s.api(epSNE, s.handleSNE))
-	mux.Handle("/v1/snd", s.api(epSND, s.handleSND))
-	mux.Handle("/v1/pos", s.api(epPoS, s.handlePoS))
-	mux.Handle("/v2/check", s.binAPI(epCheckV2))
-	mux.Handle("/v2/sne", s.binAPI(epSNEV2))
-	mux.Handle("/v2/snd", s.binAPI(epSNDV2))
-	mux.Handle("/v2/pos", s.binAPI(epPoSV2))
+	mux.Handle("/v1/check", s.api(epCheck))
+	mux.Handle("/v1/sne", s.api(epSNE))
+	mux.Handle("/v1/snd", s.api(epSND))
+	mux.Handle("/v1/pos", s.api(epPoS))
+	mux.Handle("/v2/check", s.api(epCheckV2))
+	mux.Handle("/v2/sne", s.api(epSNEV2))
+	mux.Handle("/v2/snd", s.api(epSNDV2))
+	mux.Handle("/v2/pos", s.api(epPoSV2))
 	return mux
 }
 
@@ -166,10 +176,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// SetReady overrides the readiness gate; callers mounting Handler on
-// their own listener (no Start) use it to flip /readyz themselves.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // Shutdown gracefully drains the listener started by Start: no new
 // connections, in-flight requests run to completion (or ctx expiry).
 // Readiness drops first, so health checkers see not-ready before the
@@ -185,45 +191,50 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return hs.Shutdown(ctx)
 }
 
-// statusRecorder captures the response code for the error counters.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// api wraps an endpoint handler with the operational middleware:
-// POST-only, body size cap, per-request timeout (503 on expiry), and the
-// metrics observation (count, latency, error).
-func (s *Server) api(ep int, h http.HandlerFunc) http.Handler {
-	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r)
-	})
-	timed := http.TimeoutHandler(limited, s.cfg.Timeout, `{"error":"request timed out"}`)
+// api is the one request envelope of every solve route; the protocol
+// follows from ep. It raises the inflight gauge and sheds past
+// MaxInflight, rejects anything but POST, gives the request one context
+// deadline, and records latency and error from the HTTP status the
+// protocol body wrote.
+func (s *Server) api(ep int) http.Handler {
+	v2 := ep >= epCheckV2
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
-		if s.overloaded(n) {
-			s.met.shed.Add(1)
-			s.met.observe(ep, 0, true)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "server overloaded, retry later")
-			return
-		}
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
-		timed.ServeHTTP(rec, r)
-		s.met.observe(ep, time.Since(t0), rec.code >= 400)
+		ws := s.ws.Get().(*workspace)
+		defer s.ws.Put(ws)
+		if v2 {
+			w.Header().Set("Content-Type", "application/octet-stream")
+		}
+		var code int
+		switch {
+		case s.overloaded(n):
+			s.met.shed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			code = fail(w, ws, v2, http.StatusServiceUnavailable, "server overloaded, retry later")
+		case r.Method != http.MethodPost:
+			code = fail(w, ws, v2, http.StatusMethodNotAllowed, "POST only")
+		default:
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+			defer cancel()
+			if v2 {
+				code = s.serveBinary(ctx, ep, w, r, ws)
+			} else {
+				code = s.serveJSON(ctx, ep, w, r, ws)
+			}
+		}
+		s.met.observe(ep, time.Since(t0), code >= 400)
 	})
+}
+
+// fail writes one error answer in the request's protocol and returns its
+// HTTP status.
+func fail(w http.ResponseWriter, ws *workspace, v2 bool, code int, msg string) int {
+	if v2 {
+		return binFail(w, ws, code, msg)
+	}
+	return writeError(w, code, msg)
 }
 
 // overloaded decides admission for the request that just raised the
@@ -232,46 +243,114 @@ func (s *Server) overloaded(n int64) bool {
 	return s.cfg.MaxInflight > 0 && n > int64(s.cfg.MaxInflight)
 }
 
+// serveJSON is the /v1 body of api: decode the endpoint's JSON request,
+// solve, and render the response struct as JSON. It returns the HTTP
+// status it wrote.
+func (s *Server) serveJSON(ctx context.Context, ep int, w http.ResponseWriter, r *http.Request, ws *workspace) int {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var q request
+	var code int
+	switch ep {
+	case epCheck:
+		var req instanceRequest
+		q.inst, code = s.decodeRequest(w, r, &req)
+	case epSNE:
+		var req sneRequest
+		q.inst, code = s.decodeRequest(w, r, &req)
+		q.method = req.Method
+	case epSND:
+		var req sndRequest
+		q.inst, code = s.decodeRequest(w, r, &req)
+		q.budget, q.exact, q.treeLimit = req.Budget, req.Exact, req.TreeLimit
+	case epPoS:
+		var req posRequest
+		q.inst, code = s.decodeRequest(w, r, &req)
+		q.starts, q.maxSteps, q.seed = req.Starts, req.MaxSteps, req.Seed
+	}
+	if code != http.StatusOK {
+		return code
+	}
+	resp, aerr := s.solve(ctx, ep, &q, ws)
+	if ctx.Err() != nil {
+		return writeError(w, http.StatusServiceUnavailable, "request timed out")
+	}
+	if aerr != nil {
+		return writeError(w, aerr.code, aerr.msg)
+	}
+	return writeJSON(w, http.StatusOK, resp)
+}
+
 // decodeRequest parses the JSON body into req and the embedded instance
 // text into a parsed instance (through a pooled byte decoder — the
-// scanner-free twin of instancefile.Read), writing the proper 4xx on
-// failure.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req interface{ instanceText() string }) (*instancefile.Instance, bool) {
+// scanner-free twin of instancefile.Read). It returns http.StatusOK, or
+// the 4xx it wrote on failure.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req interface{ instanceText() string }) (*instancefile.Instance, int) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "bad request JSON: "+err.Error())
+			return nil, writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 		}
-		return nil, false
+		return nil, writeError(w, http.StatusBadRequest, "bad request JSON: "+err.Error())
 	}
 	text := req.instanceText()
 	if strings.TrimSpace(text) == "" {
-		writeError(w, http.StatusBadRequest, "missing instance")
-		return nil, false
+		return nil, writeError(w, http.StatusBadRequest, "missing instance")
 	}
 	td := s.decoders.Get().(*instancefile.Decoder)
 	inst, err := td.DecodeString(text)
 	s.decoders.Put(td)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return nil, false
+		return nil, writeError(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	return inst, true
+	return inst, http.StatusOK
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON renders v as the response body and returns code.
+func writeJSON(w http.ResponseWriter, code int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
+	return code
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+func writeError(w http.ResponseWriter, code int, msg string) int {
+	return writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// request is one decoded solve request, whichever protocol carried it;
+// each endpoint reads only its own fields.
+type request struct {
+	inst *instancefile.Instance
+
+	method string // sne
+
+	budget    float64 // snd
+	exact     bool
+	treeLimit int
+
+	starts, maxSteps int // pos
+	seed             int64
+}
+
+// solve runs ep's core solver on a decoded request, filling the response
+// struct in ws that it returns.
+func (s *Server) solve(ctx context.Context, ep int, q *request, ws *workspace) (any, *apiError) {
+	if s.preSolve != nil {
+		s.preSolve(ctx)
+	}
+	switch ep {
+	case epCheck, epCheckV2:
+		return &ws.check, s.coreCheck(q.inst, &ws.check, &ws.viol)
+	case epSNE, epSNEV2:
+		return &ws.sne, s.coreSNE(q.inst, q.method, &ws.sne)
+	case epSND, epSNDV2:
+		return &ws.snd, s.coreSND(q.inst, q.budget, q.exact, q.treeLimit, &ws.snd)
+	default:
+		return &ws.pos, s.corePoS(q.inst, q.starts, q.maxSteps, q.seed, &ws.pos)
+	}
 }
 
 // instanceRequest is the common body prefix: the instance in the CLI
@@ -302,46 +381,24 @@ type apiError struct {
 }
 
 // coreCheck answers: is the submitted target tree an equilibrium of the
-// instance without subsidies, and if not, who defects? violScratch,
-// when non-nil, is used as the violation slot so a pooled caller
-// allocates nothing.
-func (s *Server) coreCheck(inst *instancefile.Instance, resp *checkResponse, violScratch *violationJSON) *apiError {
+// instance without subsidies, and if not, who defects? viol is the
+// pooled violation slot resp points at when there is one.
+func (s *Server) coreCheck(inst *instancefile.Instance, resp *checkResponse, viol *violationJSON) *apiError {
 	st, err := inst.State()
 	if err != nil {
 		return &apiError{http.StatusUnprocessableEntity, err.Error()}
-	}
-	if s.preSolve != nil {
-		s.preSolve()
 	}
 	resp.Equilibrium = false
 	resp.Weight = st.Weight()
 	resp.Players = inst.Game.NumPlayers()
 	resp.Violation = nil
 	if v := st.FindViolation(nil); v != nil {
-		if violScratch == nil {
-			violScratch = &violationJSON{}
-		}
-		*violScratch = violationJSON{Node: v.Node, ViaEdge: v.ViaEdge, Current: v.Current, Better: v.Better, Gain: v.Gain()}
-		resp.Violation = violScratch
+		*viol = violationJSON{Node: v.Node, ViaEdge: v.ViaEdge, Current: v.Current, Better: v.Better, Gain: v.Gain()}
+		resp.Violation = viol
 	} else {
 		resp.Equilibrium = true
 	}
 	return nil
-}
-
-// handleCheck is the /v1 rendering of coreCheck.
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req instanceRequest
-	inst, ok := s.decodeRequest(w, r, &req)
-	if !ok {
-		return
-	}
-	var resp checkResponse
-	if aerr := s.coreCheck(inst, &resp, nil); aerr != nil {
-		writeError(w, aerr.code, aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 type sneRequest struct {
@@ -357,9 +414,6 @@ func (s *Server) coreSNE(inst *instancefile.Instance, method string, resp *sneRe
 	st, err := inst.State()
 	if err != nil {
 		return &apiError{http.StatusUnprocessableEntity, err.Error()}
-	}
-	if s.preSolve != nil {
-		s.preSolve()
 	}
 	if method == "" {
 		method = "lp"
@@ -414,21 +468,6 @@ func (s *Server) coreSNE(inst *instancefile.Instance, method string, resp *sneRe
 		}
 	}
 	return nil
-}
-
-// handleSNE is the /v1 rendering of coreSNE.
-func (s *Server) handleSNE(w http.ResponseWriter, r *http.Request) {
-	var req sneRequest
-	inst, ok := s.decodeRequest(w, r, &req)
-	if !ok {
-		return
-	}
-	var resp sneResponse
-	if aerr := s.coreSNE(inst, req.Method, &resp); aerr != nil {
-		writeError(w, aerr.code, aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // solveLP is the warm-start hot path: draw a chain and solve on it, warm
@@ -496,9 +535,6 @@ type sndRequest struct {
 // Theorem-6 fallback (snd.HeuristicAuto — errors.Is on the wrapped
 // sentinel). A zero treeLimit means the cmd/snd default of 200000.
 func (s *Server) coreSND(inst *instancefile.Instance, budget float64, exact bool, treeLimit int, resp *sndResponse) *apiError {
-	if s.preSolve != nil {
-		s.preSolve()
-	}
 	bg := inst.Game
 	var res *snd.Result
 	var err error
@@ -528,21 +564,6 @@ func (s *Server) coreSND(inst *instancefile.Instance, budget float64, exact bool
 	return nil
 }
 
-// handleSND is the /v1 rendering of coreSND.
-func (s *Server) handleSND(w http.ResponseWriter, r *http.Request) {
-	var req sndRequest
-	inst, ok := s.decodeRequest(w, r, &req)
-	if !ok {
-		return
-	}
-	var resp sndResponse
-	if aerr := s.coreSND(inst, req.Budget, req.Exact, req.TreeLimit, &resp); aerr != nil {
-		writeError(w, aerr.code, aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 type posRequest struct {
 	instanceRequest
 	Starts   int   `json:"starts,omitempty"`   // default 4
@@ -555,9 +576,6 @@ type posRequest struct {
 // given seed, so the answer is reproducible and differential-testable.
 // Zero starts/seed take the served defaults (4 starts, seed 1).
 func (s *Server) corePoS(inst *instancefile.Instance, starts, maxSteps int, seed int64, resp *posResponse) *apiError {
-	if s.preSolve != nil {
-		s.preSolve()
-	}
 	if starts == 0 {
 		starts = 4
 	}
@@ -574,19 +592,4 @@ func (s *Server) corePoS(inst *instancefile.Instance, starts, maxSteps int, seed
 		resp.PoS = est.PoS()
 	}
 	return nil
-}
-
-// handlePoS is the /v1 rendering of corePoS.
-func (s *Server) handlePoS(w http.ResponseWriter, r *http.Request) {
-	var req posRequest
-	inst, ok := s.decodeRequest(w, r, &req)
-	if !ok {
-		return
-	}
-	var resp posResponse
-	if aerr := s.corePoS(inst, req.Starts, req.MaxSteps, req.Seed, &resp); aerr != nil {
-		writeError(w, aerr.code, aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"netdesign/internal/broadcast"
 	"netdesign/internal/graph"
 	"netdesign/internal/instancefile"
+	"netdesign/internal/serve/wire"
 	"netdesign/internal/snd"
 	"netdesign/internal/sne"
 	"netdesign/internal/subsidy"
@@ -427,34 +429,54 @@ func TestRejectionCases(t *testing.T) {
 	}
 }
 
-// TestTimeoutRejection: a solve running past the request budget must be
-// answered 503 and counted as an error, while the server stays healthy.
+// TestTimeoutRejection: on both protocols, a solve that returns past the
+// request's deadline is answered 503 "request timed out" (/v1 as a JSON
+// error, /v2 as a StatusUnavailable frame) and counted as an endpoint
+// error, while the server stays healthy. The solve blocks until its
+// context has expired, so no wall-clock race decides the outcome.
 func TestTimeoutRejection(t *testing.T) {
-	s, ts := newTestServer(t, Config{Timeout: 20 * time.Millisecond})
-	// The timed-out handler goroutine keeps running after the 503 is sent,
-	// so the hook stays installed and is switched off via an atomic flag.
+	// The budget only has to cover the requests that do not time out:
+	// the timed-out ones wait for the deadline, not for a clock.
+	s, ts := newTestServer(t, Config{Timeout: 250 * time.Millisecond})
 	var slow atomic.Bool
-	slow.Store(true)
-	s.preSolve = func() {
+	s.preSolve = func(ctx context.Context) {
 		if slow.Load() {
-			time.Sleep(200 * time.Millisecond)
+			<-ctx.Done()
 		}
 	}
-	resp, raw := post(t, ts, "/v1/sne", map[string]any{"instance": cycle5})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 (body %s)", resp.StatusCode, raw)
+	payload := wire.AppendSNERequest(nil, parse(t, cycle5), wire.MethodLP)
+	for _, timedOut := range []bool{true, false} {
+		slow.Store(timedOut)
+		wantCode := http.StatusOK
+		if timedOut {
+			wantCode = http.StatusServiceUnavailable
+		}
+
+		resp, raw := post(t, ts, "/v1/sne", map[string]any{"instance": cycle5})
+		if resp.StatusCode != wantCode {
+			t.Fatalf("/v1 timedOut=%v: status %d, want %d (body %s)", timedOut, resp.StatusCode, wantCode, raw)
+		}
+		if timedOut {
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("/v1 timeout Content-Type %q", ct)
+			}
+			if e := decode[map[string]string](t, raw); e["error"] != "request timed out" {
+				t.Fatalf("/v1 timeout body %s", raw)
+			}
+		}
+
+		code, status, _, msg := postBin(t, ts, "/v2/sne", payload)
+		if code != wantCode || status != binStatusOf(code) {
+			t.Fatalf("/v2 timedOut=%v: %d/%d %q, want HTTP %d", timedOut, code, status, msg, wantCode)
+		}
+		if timedOut && msg != "request timed out" {
+			t.Fatalf("/v2 timeout message %q", msg)
+		}
 	}
-	if !strings.Contains(string(raw), "timed out") {
-		t.Fatalf("timeout body %s", raw)
-	}
-	slow.Store(false)
-	// The daemon must still answer after a timeout.
-	resp, raw = post(t, ts, "/v1/sne", map[string]any{"instance": cycle5})
-	if resp.StatusCode != 200 {
-		t.Fatalf("post-timeout status %d: %s", resp.StatusCode, raw)
-	}
-	if s.met.errs[epSNE].Load() == 0 {
-		t.Error("timeout not counted as an endpoint error")
+	for _, ep := range []int{epSNE, epSNEV2} {
+		if got := s.met.errs[ep].Load(); got != 1 {
+			t.Errorf("%s: %d errors counted, want the 1 timeout", endpointNames[ep], got)
+		}
 	}
 }
 

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"netdesign/internal/serve/wire"
 )
@@ -25,7 +28,7 @@ func TestOverloadShed(t *testing.T) {
 	// entered is the handshake that the admitted request holds its slot:
 	// the inflight gauge rises before preSolve runs.
 	entered := make(chan struct{}, 1)
-	s.preSolve = func() {
+	s.preSolve = func(context.Context) {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -83,6 +86,60 @@ func TestOverloadShed(t *testing.T) {
 	metResp.Body.Close()
 	if !strings.Contains(met.String(), "sned_shed_requests_total 2\n") {
 		t.Errorf("metrics missing shed counter:\n%s", met.String())
+	}
+}
+
+// TestTimeoutHoldsInflightSlot: a /v1 request past its deadline keeps
+// its inflight slot until its solve returns, so MaxInflight still counts
+// it: with MaxInflight 1, a second request arriving while the timed-out
+// solve runs is shed, and the first answers 503 "request timed out" only
+// once its solve returns.
+func TestTimeoutHoldsInflightSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1, Timeout: time.Millisecond})
+	expired := make(chan struct{})
+	release := make(chan struct{})
+	var released bool
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	var held atomic.Bool
+	s.preSolve = func(ctx context.Context) {
+		if !held.CompareAndSwap(false, true) {
+			return // only the first request is held; a second must not get here
+		}
+		<-ctx.Done()
+		close(expired)
+		<-release
+	}
+
+	type result struct {
+		code int
+		body []byte
+	}
+	first := make(chan result, 1)
+	go func() {
+		resp, body := post(t, ts, "/v1/check", instanceRequest{Instance: cycle5})
+		first <- result{resp.StatusCode, body}
+	}()
+	<-expired
+
+	resp, body := post(t, ts, "/v1/check", instanceRequest{Instance: cycle5})
+	if resp.StatusCode != http.StatusServiceUnavailable || decode[map[string]string](t, body)["error"] != "server overloaded, retry later" {
+		t.Fatalf("request during a timed-out solve answered %d %s, want 503 server overloaded", resp.StatusCode, body)
+	}
+	select {
+	case got := <-first:
+		t.Fatalf("timed-out request answered %d %s before its solve returned", got.code, got.body)
+	default:
+	}
+
+	close(release)
+	released = true
+	got := <-first
+	if got.code != http.StatusServiceUnavailable || decode[map[string]string](t, got.body)["error"] != "request timed out" {
+		t.Fatalf("timed-out request answered %d %s, want 503 request timed out", got.code, got.body)
 	}
 }
 
