@@ -246,6 +246,31 @@ func TestBinaryRejections(t *testing.T) {
 	}
 }
 
+// TestBinaryTimeout: a /v2 solve that returns past the request's
+// deadline is answered 503 with a StatusUnavailable "request timed out"
+// frame and counted as an endpoint error, while the server stays healthy.
+func TestBinaryTimeout(t *testing.T) {
+	s, ts, slow := blockingServer(t)
+	payload := wire.AppendSNERequest(nil, parse(t, cycle5), wire.MethodLP)
+	for _, timedOut := range []bool{true, false} {
+		slow.Store(timedOut)
+		wantCode := http.StatusOK
+		if timedOut {
+			wantCode = http.StatusServiceUnavailable
+		}
+		code, status, _, msg := postBin(t, ts, "/v2/sne", payload)
+		if code != wantCode || status != binStatusOf(code) {
+			t.Fatalf("timedOut=%v: %d/%d %q, want HTTP %d", timedOut, code, status, msg, wantCode)
+		}
+		if timedOut && msg != "request timed out" {
+			t.Fatalf("timeout message %q", msg)
+		}
+	}
+	if got := s.met.errs[epSNEV2].Load(); got != 1 {
+		t.Errorf("%s: %d errors counted, want the 1 timeout", endpointNames[epSNEV2], got)
+	}
+}
+
 // TestMetricsV2AndRuntime: /v2 traffic lands on its own endpoint labels,
 // endpoints with traffic export full cumulative histograms, and the
 // runtime gauges are present.

@@ -18,7 +18,6 @@ import (
 	"netdesign/internal/broadcast"
 	"netdesign/internal/graph"
 	"netdesign/internal/instancefile"
-	"netdesign/internal/serve/wire"
 	"netdesign/internal/snd"
 	"netdesign/internal/sne"
 	"netdesign/internal/subsidy"
@@ -429,54 +428,50 @@ func TestRejectionCases(t *testing.T) {
 	}
 }
 
-// TestTimeoutRejection: on both protocols, a solve that returns past the
-// request's deadline is answered 503 "request timed out" (/v1 as a JSON
-// error, /v2 as a StatusUnavailable frame) and counted as an endpoint
-// error, while the server stays healthy. The solve blocks until its
-// context has expired, so no wall-clock race decides the outcome.
-func TestTimeoutRejection(t *testing.T) {
-	// The budget only has to cover the requests that do not time out:
-	// the timed-out ones wait for the deadline, not for a clock.
+// blockingServer returns a test server whose solves, while *slow is set,
+// block until their request context has expired, so no wall-clock race
+// decides whether a request times out. The budget only has to cover the
+// requests that do not time out: the timed-out ones wait for the
+// deadline, not for a clock.
+func blockingServer(t *testing.T) (*Server, *httptest.Server, *atomic.Bool) {
+	t.Helper()
 	s, ts := newTestServer(t, Config{Timeout: 250 * time.Millisecond})
-	var slow atomic.Bool
+	slow := new(atomic.Bool)
 	s.preSolve = func(ctx context.Context) {
 		if slow.Load() {
 			<-ctx.Done()
 		}
 	}
-	payload := wire.AppendSNERequest(nil, parse(t, cycle5), wire.MethodLP)
+	return s, ts, slow
+}
+
+// TestTimeoutRejection: a /v1 solve that returns past the request's
+// deadline is answered 503 with a JSON "request timed out" error and
+// counted as an endpoint error, while the server stays healthy.
+// TestBinaryTimeout holds /v2 to the same contract.
+func TestTimeoutRejection(t *testing.T) {
+	s, ts, slow := blockingServer(t)
 	for _, timedOut := range []bool{true, false} {
 		slow.Store(timedOut)
 		wantCode := http.StatusOK
 		if timedOut {
 			wantCode = http.StatusServiceUnavailable
 		}
-
 		resp, raw := post(t, ts, "/v1/sne", map[string]any{"instance": cycle5})
 		if resp.StatusCode != wantCode {
-			t.Fatalf("/v1 timedOut=%v: status %d, want %d (body %s)", timedOut, resp.StatusCode, wantCode, raw)
+			t.Fatalf("timedOut=%v: status %d, want %d (body %s)", timedOut, resp.StatusCode, wantCode, raw)
 		}
 		if timedOut {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Errorf("/v1 timeout Content-Type %q", ct)
+				t.Errorf("timeout Content-Type %q", ct)
 			}
 			if e := decode[map[string]string](t, raw); e["error"] != "request timed out" {
-				t.Fatalf("/v1 timeout body %s", raw)
+				t.Fatalf("timeout body %s", raw)
 			}
 		}
-
-		code, status, _, msg := postBin(t, ts, "/v2/sne", payload)
-		if code != wantCode || status != binStatusOf(code) {
-			t.Fatalf("/v2 timedOut=%v: %d/%d %q, want HTTP %d", timedOut, code, status, msg, wantCode)
-		}
-		if timedOut && msg != "request timed out" {
-			t.Fatalf("/v2 timeout message %q", msg)
-		}
 	}
-	for _, ep := range []int{epSNE, epSNEV2} {
-		if got := s.met.errs[ep].Load(); got != 1 {
-			t.Errorf("%s: %d errors counted, want the 1 timeout", endpointNames[ep], got)
-		}
+	if got := s.met.errs[epSNE].Load(); got != 1 {
+		t.Errorf("%s: %d errors counted, want the 1 timeout", endpointNames[epSNE], got)
 	}
 }
 
