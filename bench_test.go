@@ -166,17 +166,6 @@ func BenchmarkDijkstraScratch400(b *testing.B) {
 	}
 }
 
-func BenchmarkMSTPrim400(b *testing.B) {
-	g := benchGraph(400, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.MSTPrim(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchEquilibriumCheck(b *testing.B, n int) {
 	b.Helper()
 	st := randomState(b, n)

@@ -6,12 +6,13 @@
 //
 //	snd -in instance.txt -budget B [-exact] [-treelimit N]
 //
-// The default is the polynomial MST+LP heuristic; -exact enumerates all
-// spanning trees (exponential — small instances only).
+// The default is snd.HeuristicAuto, the policy sned also serves: the
+// polynomial MST+LP heuristic, falling back to the Theorem-6 construction
+// when the budget cannot cover the MST's enforcement. -exact enumerates
+// all spanning trees (exponential — small instances only).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,13 +54,12 @@ func run(inPath string, budget float64, exact bool, treeLimit int) error {
 	if exact {
 		res, err = snd.SolveExact(bg, budget, treeLimit)
 	} else {
-		res, err = snd.HeuristicMSTLP(bg, budget)
-		// errors.Is, not ==: a wrapped sentinel must keep triggering the
-		// Theorem-6 fallback. The diagnostic goes to stderr — stdout is
-		// the machine-readable result channel.
-		if errors.Is(err, snd.ErrBudgetInfeasible) {
+		var fellBack bool
+		res, _, fellBack, err = snd.HeuristicAuto(bg, budget)
+		// The diagnostic goes to stderr — stdout is the machine-readable
+		// result channel.
+		if fellBack {
 			fmt.Fprintln(os.Stderr, "snd: MST+LP heuristic infeasible at this budget; trying Theorem-6 construction")
-			res, err = snd.HeuristicTheorem6(bg, budget)
 		}
 	}
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,5 +47,14 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(bad, "lp", false); err == nil {
 		t.Error("malformed instance accepted")
+	}
+	// A node count no edge list spans is refused before the graph is
+	// allocated.
+	huge := filepath.Join(t.TempDir(), "huge.txt")
+	if err := os.WriteFile(huge, []byte("nodes 1000000000\nroot 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(huge, "lp", false); err == nil || !strings.Contains(err.Error(), "cannot be spanned") {
+		t.Errorf("huge node count: err = %v, want a 'cannot be spanned' refusal", err)
 	}
 }

@@ -58,24 +58,6 @@ func main() {
 	}
 }
 
-// paramFlags collects repeatable -param name=value pairs.
-type paramFlags map[string]float64
-
-func (p paramFlags) String() string { return fmt.Sprintf("%v", map[string]float64(p)) }
-
-func (p paramFlags) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("bad value in %q: %v", s, err)
-	}
-	p[name] = v
-	return nil
-}
-
 // execCommand builds worker subprocesses; tests substitute it to reroute
 // spawning through the test binary.
 var execCommand = exec.Command
@@ -83,13 +65,6 @@ var execCommand = exec.Command
 func realMain(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		specPath = fs.String("spec", "", "read the sweep spec from this file")
-		scenario = fs.String("scenario", "", "scenario name (builds the spec from flags)")
-		seed     = fs.Int64("seed", 1, "base seed (instance i uses a derived seed)")
-		count    = fs.Int("count", 8, "number of instances in the family")
-		size     = fs.Int("size", 8, "base instance-size parameter")
-		params   = paramFlags{}
-
 		dir      = fs.String("dir", "", "run directory for shard checkpoints")
 		shards   = fs.Int("shards", 1, "number of shards")
 		shardArg = fs.String("shard", "", "run a single shard, formatted i/m (worker mode)")
@@ -106,7 +81,8 @@ func realMain(argv []string, stdout io.Writer) error {
 		workerID    = fs.String("id", "", "worker label reported to the coordinator (default host-pid)")
 		throttle    = fs.Duration("throttle", 0, "sleep this long before each instance (deliberate straggler for fault tests)")
 	)
-	fs.Var(params, "param", "scenario parameter name=value (repeatable)")
+	var specFlags sweep.SpecFlags
+	specFlags.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -121,13 +97,13 @@ func realMain(argv []string, stdout io.Writer) error {
 		// Worker mode takes the spec — and the checkpoint store — from the
 		// coordinator; a local spec source would be silently ignored, so
 		// refuse it outright.
-		if *specPath != "" || *scenario != "" || *dir != "" {
+		if specFlags.Path != "" || specFlags.Scenario != "" || *dir != "" {
 			return fmt.Errorf("-coordinator is exclusive with -spec/-scenario/-dir: the coordinator owns the spec and store")
 		}
 		return runWorker(*coordinator, *workerID, *workers, *syncEv, *throttle)
 	}
 
-	spec, err := resolveSpec(*specPath, *scenario, *seed, *count, *size, params, *dir)
+	spec, err := specFlags.Resolve(*dir)
 	if err != nil {
 		return err
 	}
@@ -250,34 +226,6 @@ func runWorker(url, id string, workers, syncEvery int, throttle time.Duration) e
 	}
 	fmt.Fprintf(os.Stderr, "sweep: worker %s: sweep complete\n", id)
 	return nil
-}
-
-// resolveSpec builds the sweep spec from, in priority order: an explicit
-// spec file, scenario flags, or the spec pinned in the run directory.
-func resolveSpec(specPath, scenario string, seed int64, count, size int, params paramFlags, dir string) (sweep.Spec, error) {
-	switch {
-	case specPath != "":
-		f, err := os.Open(specPath)
-		if err != nil {
-			return sweep.Spec{}, err
-		}
-		defer f.Close()
-		return sweep.ParseSpec(f)
-	case scenario != "":
-		spec := sweep.Spec{Scenario: scenario, Seed: seed, Count: count, Size: size}
-		if len(params) > 0 {
-			spec.Params = params
-		}
-		return spec, spec.Validate()
-	case dir != "":
-		spec, err := sweep.LoadRunSpec(dir)
-		if err != nil {
-			return sweep.Spec{}, fmt.Errorf("no -spec/-scenario and no pinned spec: %w", err)
-		}
-		return spec, nil
-	default:
-		return sweep.Spec{}, fmt.Errorf("need -spec, -scenario, or a -dir with a pinned spec")
-	}
 }
 
 // parseShard parses "i/m" worker assignments.

@@ -37,8 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,24 +52,6 @@ func main() {
 	}
 }
 
-// paramFlags collects repeatable -param name=value pairs.
-type paramFlags map[string]float64
-
-func (p paramFlags) String() string { return fmt.Sprintf("%v", map[string]float64(p)) }
-
-func (p paramFlags) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("bad value in %q: %v", s, err)
-	}
-	p[name] = v
-	return nil
-}
-
 // listening, when non-nil, observes the bound address; tests use it to
 // dial a daemon started on :0.
 var listening func(net.Addr)
@@ -79,13 +59,6 @@ var listening func(net.Addr)
 func realMain(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	var (
-		specPath = fs.String("spec", "", "read the sweep spec from this file")
-		scenario = fs.String("scenario", "", "scenario name (builds the spec from flags)")
-		seed     = fs.Int64("seed", 1, "base seed (instance i uses a derived seed)")
-		count    = fs.Int("count", 8, "number of instances in the family")
-		size     = fs.Int("size", 8, "base instance-size parameter")
-		params   = paramFlags{}
-
 		dir    = fs.String("dir", "", "run directory: the coordinator's durable checkpoint store")
 		shards = fs.Int("shards", 1, "number of shards in the plan")
 		addr   = fs.String("addr", ":8633", "listen address (host:port; :0 picks a free port)")
@@ -98,14 +71,15 @@ func realMain(argv []string, stdout, stderr io.Writer) error {
 		once     = fs.Bool("once", false, "exit after the sweep completes, printing the merged table to stdout")
 		markdown = fs.Bool("markdown", false, "emit a markdown table (with -once)")
 	)
-	fs.Var(params, "param", "scenario parameter name=value (repeatable)")
+	var specFlags sweep.SpecFlags
+	specFlags.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	spec, err := resolveSpec(*specPath, *scenario, *seed, *count, *size, params, *dir)
+	spec, err := specFlags.Resolve(*dir)
 	if err != nil {
 		return err
 	}
@@ -187,32 +161,4 @@ func render(tb *table.Table, stdout io.Writer, markdown bool) error {
 	}
 	tb.Render(stdout)
 	return nil
-}
-
-// resolveSpec builds the sweep spec from, in priority order: an explicit
-// spec file, scenario flags, or the spec pinned in the run directory —
-// the same precedence cmd/sweep uses, so a crashed run restarts with
-// just -dir.
-func resolveSpec(specPath, scenario string, seed int64, count, size int, params paramFlags, dir string) (sweep.Spec, error) {
-	switch {
-	case specPath != "":
-		f, err := os.Open(specPath)
-		if err != nil {
-			return sweep.Spec{}, err
-		}
-		defer f.Close()
-		return sweep.ParseSpec(f)
-	case scenario != "":
-		spec := sweep.Spec{Scenario: scenario, Seed: seed, Count: count, Size: size}
-		if len(params) > 0 {
-			spec.Params = params
-		}
-		return spec, spec.Validate()
-	default:
-		spec, err := sweep.LoadRunSpec(dir)
-		if err != nil {
-			return sweep.Spec{}, fmt.Errorf("no -spec/-scenario and no pinned spec in %s: %w", dir, err)
-		}
-		return spec, nil
-	}
 }

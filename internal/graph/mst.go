@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"errors"
-	"sort"
-)
+import "errors"
 
 // ErrDisconnected is returned by spanning-tree constructions on graphs
 // that do not connect all nodes.
@@ -59,131 +55,6 @@ func MSTNaive(g *Graph) ([]int, error) {
 		return tree, nil
 	}
 	return nil, ErrDisconnected
-}
-
-// MSTPrim returns an MST edge set via Prim's algorithm on an indexed
-// 4-ary heap with decrease-key (one heap slot per node, no duplicate
-// entries). It exists both as a cross-check for Kruskal in tests and as
-// the faster choice on dense graphs.
-func MSTPrim(g *Graph) ([]int, error) {
-	c := g.Freeze()
-	n := c.n
-	if n == 0 {
-		return nil, nil
-	}
-	var s Scratch
-	tree, ok := s.mstPrim(c, make([]int, 0, n-1))
-	if !ok {
-		return nil, ErrDisconnected
-	}
-	sort.Ints(tree)
-	return tree, nil
-}
-
-// primItem is a heap entry for the naive Prim oracle.
-type primItem struct {
-	node int
-	edge int // edge used to reach node, -1 for the start
-	key  float64
-}
-
-type primHeap []primItem
-
-func (h primHeap) Len() int            { return len(h) }
-func (h primHeap) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h primHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *primHeap) Push(x interface{}) { *h = append(*h, x.(primItem)) }
-func (h *primHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// MSTPrimNaive is the original container/heap Prim implementation,
-// retained as the differential-test oracle for MSTPrim.
-func MSTPrimNaive(g *Graph) ([]int, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, nil
-	}
-	inTree := make([]bool, n)
-	h := &primHeap{{node: 0, edge: -1, key: 0}}
-	tree := make([]int, 0, n-1)
-	for h.Len() > 0 {
-		it := heap.Pop(h).(primItem)
-		if inTree[it.node] {
-			continue
-		}
-		inTree[it.node] = true
-		if it.edge >= 0 {
-			tree = append(tree, it.edge)
-		}
-		for _, half := range g.Adj(it.node) {
-			if !inTree[half.To] {
-				heap.Push(h, primItem{node: half.To, edge: half.Edge, key: g.Weight(half.Edge)})
-			}
-		}
-	}
-	if len(tree) != n-1 {
-		return nil, ErrDisconnected
-	}
-	sort.Ints(tree)
-	return tree, nil
-}
-
-// MSTBoruvka returns an MST edge set via Borůvka's algorithm. Ties are
-// broken by edge ID so the result is deterministic and — on graphs with
-// distinct weights — identical to Kruskal's.
-func MSTBoruvka(g *Graph) ([]int, error) {
-	n := g.N()
-	if n <= 1 {
-		return nil, nil
-	}
-	dsu := NewUnionFind(n)
-	tree := make([]int, 0, n-1)
-	for dsu.Count() > 1 {
-		// cheapest[r] = best outgoing edge ID for component with root r.
-		cheapest := make(map[int]int)
-		for _, e := range g.Edges() {
-			ru, rv := dsu.Find(e.U), dsu.Find(e.V)
-			if ru == rv {
-				continue
-			}
-			for _, r := range [2]int{ru, rv} {
-				if cur, ok := cheapest[r]; !ok || better(g, e.ID, cur) {
-					cheapest[r] = e.ID
-				}
-			}
-		}
-		if len(cheapest) == 0 {
-			return nil, ErrDisconnected
-		}
-		progressed := false
-		for _, id := range cheapest {
-			e := g.Edge(id)
-			if dsu.Union(e.U, e.V) {
-				tree = append(tree, id)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, ErrDisconnected
-		}
-	}
-	sort.Ints(tree)
-	return tree, nil
-}
-
-// better reports whether edge a strictly precedes edge b in (weight, ID)
-// order.
-func better(g *Graph, a, b int) bool {
-	ea, eb := g.Edge(a), g.Edge(b)
-	if ea.W != eb.W {
-		return ea.W < eb.W
-	}
-	return ea.ID < eb.ID
 }
 
 // IsMinimumSpanningTree reports whether the given spanning tree has the

@@ -30,17 +30,14 @@ func TestMSTDisconnected(t *testing.T) {
 	if _, err := MST(g); err != ErrDisconnected {
 		t.Errorf("MST on disconnected graph: err = %v", err)
 	}
-	if _, err := MSTPrim(g); err != ErrDisconnected {
-		t.Errorf("MSTPrim on disconnected graph: err = %v", err)
-	}
-	if _, err := MSTBoruvka(g); err != ErrDisconnected {
-		t.Errorf("MSTBoruvka on disconnected graph: err = %v", err)
+	if _, err := MSTNaive(g); err != ErrDisconnected {
+		t.Errorf("MSTNaive on disconnected graph: err = %v", err)
 	}
 }
 
 func TestMSTTrivial(t *testing.T) {
 	g := New(1)
-	for _, f := range []func(*Graph) ([]int, error){MST, MSTPrim, MSTBoruvka} {
+	for _, f := range []func(*Graph) ([]int, error){MST, MSTNaive} {
 		tree, err := f(g)
 		if err != nil || len(tree) != 0 {
 			t.Errorf("single node MST: %v %v", tree, err)
@@ -48,26 +45,26 @@ func TestMSTTrivial(t *testing.T) {
 	}
 }
 
-// TestMSTAlgorithmsAgree cross-checks the three MST implementations on
-// random graphs: total weights must always agree, and with distinct
-// weights the edge sets must be identical.
+// TestMSTAlgorithmsAgree cross-checks Kruskal on the frozen edge order
+// against the re-sorting oracle on random graphs: both break ties by
+// edge ID, so the edge sets must be identical.
 func TestMSTAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(12)
 		g := RandomConnected(rng, n, 0.4, 0.1, 10)
 		k, err1 := MST(g)
-		p, err2 := MSTPrim(g)
-		b, err3 := MSTBoruvka(g)
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatalf("trial %d: errors %v %v %v", trial, err1, err2, err3)
+		o, err2 := MSTNaive(g)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("trial %d: errors %v %v", trial, err1, err2)
 		}
-		wk, wp, wb := g.WeightOf(k), g.WeightOf(p), g.WeightOf(b)
-		if math.Abs(wk-wp) > 1e-9 || math.Abs(wk-wb) > 1e-9 {
-			t.Fatalf("trial %d: MST weights differ: %v %v %v", trial, wk, wp, wb)
+		if !g.IsSpanningTree(k) || len(k) != len(o) {
+			t.Fatalf("trial %d: MST %v, oracle %v", trial, k, o)
 		}
-		if !g.IsSpanningTree(k) || !g.IsSpanningTree(p) || !g.IsSpanningTree(b) {
-			t.Fatalf("trial %d: result is not a spanning tree", trial)
+		for i := range k {
+			if k[i] != o[i] {
+				t.Fatalf("trial %d: MST %v, oracle %v", trial, k, o)
+			}
 		}
 	}
 }

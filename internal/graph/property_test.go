@@ -150,7 +150,7 @@ func TestPropertyDijkstraMatchesNaive(t *testing.T) {
 
 // TestPropertyMSTMatchesNaive: the frozen-order Kruskal must return the
 // exact same edge set as the re-sorting oracle (both deterministic with
-// (weight, ID) tie-breaks), and Prim's indexed-heap MST the same weight.
+// (weight, ID) tie-breaks).
 func TestPropertyMSTMatchesNaive(t *testing.T) {
 	f := func(seed int64, n, p uint8) bool {
 		g := genGraph(seed, n, p)
@@ -167,17 +167,7 @@ func TestPropertyMSTMatchesNaive(t *testing.T) {
 				return false
 			}
 		}
-		prim, err := MSTPrim(g)
-		if err != nil {
-			return false
-		}
-		primNaive, err := MSTPrimNaive(g)
-		if err != nil {
-			return false
-		}
-		return math.Abs(g.WeightOf(prim)-g.WeightOf(naive)) < 1e-9 &&
-			math.Abs(g.WeightOf(primNaive)-g.WeightOf(naive)) < 1e-9 &&
-			g.IsSpanningTree(prim)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

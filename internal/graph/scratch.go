@@ -2,8 +2,8 @@ package graph
 
 import "math"
 
-// Scratch is a reusable workspace for the CSR-based shortest-path and
-// spanning-tree routines. A zero Scratch is ready to use; its buffers
+// Scratch is a reusable workspace for the CSR-based shortest-path
+// routines. A zero Scratch is ready to use; its buffers
 // grow to the largest graph seen and are then reused, so steady-state
 // calls allocate nothing. A Scratch is not safe for concurrent use —
 // give each goroutine its own.
@@ -17,11 +17,10 @@ type Scratch struct {
 	ParNode []int32   // ParNode[v] = predecessor node, -1 at source/unreachable
 
 	// Indexed 4-ary min-heap with decrease-key: heap holds node IDs
-	// ordered by key[node]; pos[v] is v's index in heap, posUnseen
+	// ordered by Dist[node]; pos[v] is v's index in heap, posUnseen
 	// before discovery, posDone after settlement.
 	heap []int32
 	pos  []int32
-	key  []float64 // Prim keys (Dijkstra keys live in Dist)
 }
 
 const (
@@ -36,14 +35,12 @@ func (s *Scratch) grow(n int) {
 		s.ParEdge = make([]int32, n)
 		s.ParNode = make([]int32, n)
 		s.pos = make([]int32, n)
-		s.key = make([]float64, n)
 		s.heap = make([]int32, 0, n)
 	}
 	s.Dist = s.Dist[:n]
 	s.ParEdge = s.ParEdge[:n]
 	s.ParNode = s.ParNode[:n]
 	s.pos = s.pos[:n]
-	s.key = s.key[:n]
 }
 
 // heapUp restores heap order after key[h[i]] decreased.
@@ -194,51 +191,4 @@ func (s *Scratch) PathTo(v int, dst []int) []int {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
-}
-
-// mstPrim is the indexed-heap Prim core shared by MSTPrim. It appends
-// the tree edge IDs (unsorted) to tree and reports whether the graph is
-// connected.
-func (s *Scratch) mstPrim(c *CSR, tree []int) ([]int, bool) {
-	n := c.n
-	if n == 0 {
-		return tree, true
-	}
-	s.grow(n)
-	key, pe, pos := s.key, s.ParEdge, s.pos
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		key[i] = inf
-		pe[i] = -1
-		pos[i] = posUnseen
-	}
-	h := s.heap[:0]
-	key[0] = 0
-	h = append(h, 0)
-	pos[0] = 0
-	for len(h) > 0 {
-		var u int32
-		h, u = heapPop(h, pos, key)
-		if pe[u] >= 0 {
-			tree = append(tree, int(pe[u]))
-		}
-		for k := c.off[u]; k < c.off[u+1]; k++ {
-			v := c.to[k]
-			if pos[v] == posDone {
-				continue
-			}
-			id := c.eid[k]
-			if wt := c.w[id]; wt < key[v] {
-				key[v] = wt
-				pe[v] = id
-				if pos[v] == posUnseen {
-					h = append(h, v)
-					pos[v] = int32(len(h) - 1)
-				}
-				heapUp(h, pos, key, int(pos[v]))
-			}
-		}
-	}
-	s.heap = h[:0]
-	return tree, len(tree) == n-1
 }

@@ -10,13 +10,12 @@ import (
 	"netdesign/internal/graph"
 )
 
-// Decoder parses instance text with reusable scratch: the field splitter,
-// edge list and multiplicity tables are kept between calls, so a pooled
-// Decoder on a serving hot path pays roughly one allocation per numeric
-// field instead of the scanner-and-strings.Fields churn of a fresh parse.
-// The returned Instance owns freshly allocated graph/game state and is
-// independent of the Decoder; only the parse scratch is reused. A Decoder
-// is not safe for concurrent use — pool them (sync.Pool) instead.
+// Decoder is the parser of the instance text format. Its scratch (edge
+// list, multiplicity tables, tree) is kept between calls, so a pooled
+// Decoder on a serving hot path reuses its parse buffers. The returned
+// Instance owns freshly allocated graph/game state and is independent of
+// the Decoder. A Decoder is not safe for concurrent use — pool them
+// (sync.Pool) instead.
 type Decoder struct {
 	buf      []byte
 	edges    []graph.Edge
@@ -25,9 +24,9 @@ type Decoder struct {
 	tree     []int
 }
 
-// Decode parses one instance from data. It accepts exactly the format
-// documented on the package (and shares all of Read's defaulting: missing
-// tree → MST, missing mult → one player per non-root node).
+// Decode parses one instance from data in the format documented on the
+// package: a missing tree defaults to an MST, a missing mult to one
+// player per non-root node.
 func (d *Decoder) Decode(data []byte) (*Instance, error) {
 	d.edges = d.edges[:0]
 	d.multNode = d.multNode[:0]
@@ -64,7 +63,7 @@ func (d *Decoder) Decode(data []byte) (*Instance, error) {
 				return nil, fmt.Errorf("instancefile: line %d: bad node count", lineNo)
 			}
 			n = v
-			d.edges = d.edges[:0] // re-declaring nodes drops prior edges, like Read always did
+			d.edges = d.edges[:0] // re-declaring nodes drops prior edges
 		case "edge":
 			if n < 0 {
 				return nil, fmt.Errorf("instancefile: line %d: 'edge' before 'nodes'", lineNo)
@@ -139,8 +138,7 @@ func (d *Decoder) Decode(data []byte) (*Instance, error) {
 	}
 	tree := d.tree
 	if len(tree) == 0 {
-		// Matches Read's historical nil-until-appended semantics: a bare
-		// 'tree' directive (or none) selects the MST default.
+		// A bare 'tree' directive, like none, selects the MST default.
 		tree = nil
 	}
 	return Assemble(graph.NewBulk(n, d.edges), root, d.multNode, d.multVal, tree)

@@ -44,9 +44,10 @@ func sameInstance(t *testing.T, label string, a, b *Instance) {
 	}
 }
 
-// TestDecoderMatchesRead: the pooled byte decoder must accept exactly
-// what the scanner-based Read accepts, byte-identically — and reject
-// what it rejects — across random instances and a curated edge-case set.
+// TestDecoderMatchesRead: Read returns exactly the instance it was
+// written from, and on a curated edge-case set Read and one reused
+// Decoder both give each case's stated verdict and, when they accept,
+// the same instance.
 func TestDecoderMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var d Decoder
@@ -67,62 +68,68 @@ func TestDecoderMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := &Instance{Game: bg, Tree: tree}
 		var buf bytes.Buffer
-		if err := Write(&buf, &Instance{Game: bg, Tree: tree}); err != nil {
+		if err := Write(&buf, want); err != nil {
 			t.Fatal(err)
 		}
 		text := buf.String()
 
-		ref, err := Read(strings.NewReader(text))
+		got, err := Read(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("trial %d: Read: %v", trial, err)
 		}
-		got, err := d.DecodeString(text)
+		sameInstance(t, fmt.Sprintf("trial %d: Read", trial), got, want)
+		dec, err := d.DecodeString(text)
 		if err != nil {
 			t.Fatalf("trial %d: Decode: %v", trial, err)
 		}
-		sameInstance(t, fmt.Sprintf("trial %d", trial), got, ref)
+		sameInstance(t, fmt.Sprintf("trial %d: Decode", trial), dec, want)
 	}
 
-	cases := []string{
-		"nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 0 2 5\nroot 0\n",
-		"nodes 2\nedge 0 1 2.5\nroot 1\nmult 0 3\ntree 0\n",
-		"# comment\n\nnodes 1\nroot 0\n",
-		"nodes 1\nroot 0",                                                // no trailing newline
-		"nodes 2\nedge 0 1 1\nroot 0\ntree\n",                            // bare tree directive → MST default
-		"mult 0 5\nnodes 2\nedge 0 1 1\nroot 0",                          // mult before nodes
-		"nodes 2\r\nedge 0 1 1\r\nroot 0\r\n",                            // CRLF
-		"nodes 3\nedge 0 1 1\nnodes 3\nedge 0 1 1\nedge 1 2 1\nroot 0\n", // re-declared nodes
-		"nodes 2\nedge 0 1 1\nroot 0\nmult 1 2\nmult 1 7\n",              // last mult wins
-		// Rejections: both parsers must refuse each of these.
-		"",
-		"nodes 0\n",
-		"nodes 2\nroot 0\n",
-		"nodes 2\nedge 0 1 1\n",
-		"nodes 2\nedge 0 1 1\nroot 5\n",
-		"nodes 2\nedge 0 0 1\nroot 0\n",
-		"nodes 2\nedge 0 1 -3\nroot 0\n",
-		"nodes 2\nedge 0 1 nan\nroot 0\n",
-		"nodes 2\nedge 0 1 +Inf\nroot 0\n",
-		"nodes 2\nedge 0 1 1e309\nroot 0\n",
-		"edge 0 1 1\nnodes 2\nroot 0\n",
-		"tree 0\nnodes 2\nedge 0 1 1\nroot 0\n",
-		"nodes 2\nedge 0 1 1\nroot 0\ntree 9\n",
-		"nodes 2\nedge 0 1 1\nroot 0\nmult 9 1\n",
-		"nodes 2\nedge 0 1 1\nroot 0\nbogus 1\n",
-		"nodes 2\nedge 0 1 1\nroot 0\ntree 0 0\n",
-		"nodes two\n",
-		"nodes 2 2\n",
-		"nodes 99999999999999999999\n",
+	cases := []struct {
+		text string
+		ok   bool
+	}{
+		{"nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 0 2 5\nroot 0\n", true},
+		{"nodes 2\nedge 0 1 2.5\nroot 1\nmult 0 3\ntree 0\n", true},
+		{"# comment\n\nnodes 1\nroot 0\n", true},
+		{"nodes 1\nroot 0", true},                                                // no trailing newline
+		{"nodes 2\nedge 0 1 1\nroot 0\ntree\n", true},                            // bare tree directive → MST default
+		{"mult 1 5\nnodes 2\nedge 0 1 1\nroot 0", true},                          // mult before nodes
+		{"nodes 2\r\nedge 0 1 1\r\nroot 0\r\n", true},                            // CRLF
+		{"nodes 3\nedge 0 1 1\nnodes 3\nedge 0 1 1\nedge 1 2 1\nroot 0\n", true}, // re-declared nodes
+		{"nodes 2\nedge 0 1 1\nroot 0\nmult 1 2\nmult 1 7\n", true},              // last mult wins
+		{"mult 0 5\nnodes 2\nedge 0 1 1\nroot 0", false},                         // mult on the root
+		{"", false},
+		{"nodes 0\n", false},
+		{"nodes 2\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 1\n", false},
+		{"nodes 2\nedge 0 1 1\nroot 5\n", false},
+		{"nodes 2\nedge 0 0 1\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 -3\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 nan\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 +Inf\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 1e309\nroot 0\n", false},
+		{"edge 0 1 1\nnodes 2\nroot 0\n", false},
+		{"tree 0\nnodes 2\nedge 0 1 1\nroot 0\n", false},
+		{"nodes 2\nedge 0 1 1\nroot 0\ntree 9\n", false},
+		{"nodes 2\nedge 0 1 1\nroot 0\nmult 9 1\n", false},
+		{"nodes 2\nedge 0 1 1\nroot 0\nbogus 1\n", false},
+		{"nodes 2\nedge 0 1 1\nroot 0\ntree 0 0\n", false},
+		{"nodes two\n", false},
+		{"nodes 2 2\n", false},
+		{"nodes 99999999999999999999\n", false},
+		{"nodes 1000000000\nroot 0\n", false}, // more nodes than the edges can span
 	}
-	for i, text := range cases {
-		ref, refErr := Read(strings.NewReader(text))
-		got, gotErr := d.DecodeString(text)
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("case %d %q: Read err %v, Decode err %v", i, text, refErr, gotErr)
+	for i, c := range cases {
+		got, readErr := Read(strings.NewReader(c.text))
+		dec, decErr := d.DecodeString(c.text)
+		if (readErr == nil) != c.ok || (decErr == nil) != c.ok {
+			t.Fatalf("case %d %q: want ok=%v, Read err %v, Decode err %v", i, c.text, c.ok, readErr, decErr)
 		}
-		if refErr == nil {
-			sameInstance(t, fmt.Sprintf("case %d", i), got, ref)
+		if c.ok {
+			sameInstance(t, fmt.Sprintf("case %d", i), got, dec)
 		}
 	}
 }

@@ -15,6 +15,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("nodes -1\n")
 	f.Add("edge a b c\n")
 	f.Add("nodes 4\nedge 0 1 1e308\nroot 0\n")
+	f.Add("nodes 1000000000\nroot 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		in, err := Read(strings.NewReader(input))
 		if err != nil {

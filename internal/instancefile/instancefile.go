@@ -8,19 +8,20 @@
 //	mult <node> <multiplicity>     (optional; default 1 per non-root node)
 //	tree <edgeID> <edgeID> ...     (optional; default: a minimum spanning tree)
 //
-// cmd/gadgetgen emits this format; cmd/sne and cmd/snd consume it.
+// Fields are separated by ASCII whitespace.
+// cmd/gadgetgen emits this format; cmd/sne and cmd/snd consume it through
+// Read, and sned through a pooled Decoder. Decoder.Decode is the format's
+// only parser: Read reads its whole input and decodes it in one call.
 package instancefile
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
 	"netdesign/internal/broadcast"
-	"netdesign/internal/graph"
 )
 
 // Instance is a parsed broadcast instance: a game plus a target tree.
@@ -58,127 +59,15 @@ func Write(w io.Writer, in *Instance) error {
 	return bw.Flush()
 }
 
-// NewScanner returns a line scanner sized for instance-scale inputs: a
-// 64 KiB initial buffer growable to 4 MiB, enough for the longest 'tree'
-// lines the gadget generators emit. The sweep spec parser
-// (internal/sweep.ParseSpec) shares it, so the repo's scanner-based
-// line codecs tolerate the same line lengths. (The sweep *checkpoint*
-// reader is not scanner-based — it reads whole files to recover torn
-// tails by byte offset.)
-func NewScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return sc
-}
-
-// Read parses an instance. Missing tree lines default to a minimum
-// spanning tree; missing mult lines default to one player per node.
+// Read parses an instance from r: it reads the whole input and hands it
+// to one Decoder, the format's only parser. Missing tree lines default
+// to a minimum spanning tree; missing mult lines default to one player
+// per node.
 func Read(r io.Reader) (*Instance, error) {
-	sc := NewScanner(r)
-	var g *graph.Graph
-	root := -1
-	var tree []int
-	multOverride := map[int]int64{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "nodes":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("instancefile: line %d: want 'nodes <n>'", lineNo)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("instancefile: line %d: bad node count", lineNo)
-			}
-			g = graph.New(n)
-		case "edge":
-			if g == nil {
-				return nil, fmt.Errorf("instancefile: line %d: 'edge' before 'nodes'", lineNo)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("instancefile: line %d: want 'edge <u> <v> <w>'", lineNo)
-			}
-			u, e1 := strconv.Atoi(fields[1])
-			v, e2 := strconv.Atoi(fields[2])
-			w, e3 := strconv.ParseFloat(fields[3], 64)
-			if e1 != nil || e2 != nil || e3 != nil || u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v ||
-				w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("instancefile: line %d: malformed edge", lineNo)
-			}
-			g.AddEdge(u, v, w)
-		case "root":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("instancefile: line %d: want 'root <r>'", lineNo)
-			}
-			r, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("instancefile: line %d: bad root", lineNo)
-			}
-			root = r
-		case "mult":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("instancefile: line %d: want 'mult <node> <m>'", lineNo)
-			}
-			v, e1 := strconv.Atoi(fields[1])
-			m, e2 := strconv.ParseInt(fields[2], 10, 64)
-			if e1 != nil || e2 != nil {
-				return nil, fmt.Errorf("instancefile: line %d: malformed mult", lineNo)
-			}
-			multOverride[v] = m
-		case "tree":
-			if g == nil {
-				return nil, fmt.Errorf("instancefile: line %d: 'tree' before 'nodes'", lineNo)
-			}
-			for _, f := range fields[1:] {
-				id, err := strconv.Atoi(f)
-				if err != nil || id < 0 || id >= g.M() {
-					return nil, fmt.Errorf("instancefile: line %d: bad tree edge %q", lineNo, f)
-				}
-				tree = append(tree, id)
-			}
-		default:
-			return nil, fmt.Errorf("instancefile: line %d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, fmt.Errorf("instancefile: missing 'nodes'")
-	}
-	if root < 0 || root >= g.N() {
-		return nil, fmt.Errorf("instancefile: missing or invalid 'root'")
-	}
-	mult := make([]int64, g.N())
-	for v := range mult {
-		if v != root {
-			mult[v] = 1
-		}
-	}
-	for v, m := range multOverride {
-		if v < 0 || v >= g.N() {
-			return nil, fmt.Errorf("instancefile: mult node %d out of range", v)
-		}
-		mult[v] = m
-	}
-	bg, err := broadcast.NewGameMult(g, root, mult)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if tree == nil {
-		tree, err = graph.MST(g)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !g.IsSpanningTree(tree) {
-		return nil, fmt.Errorf("instancefile: 'tree' is not a spanning tree")
-	}
-	return &Instance{Game: bg, Tree: tree}, nil
+	var d Decoder
+	return d.Decode(data)
 }

@@ -281,8 +281,8 @@ func (s *Server) serveJSON(ctx context.Context, ep int, w http.ResponseWriter, r
 }
 
 // decodeRequest parses the JSON body into req and the embedded instance
-// text into a parsed instance (through a pooled byte decoder — the
-// scanner-free twin of instancefile.Read). It returns http.StatusOK, or
+// text into a parsed instance (through a pooled instancefile.Decoder,
+// the format's one parser). It returns http.StatusOK, or
 // the 4xx it wrote on failure.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req interface{ instanceText() string }) (*instancefile.Instance, int) {
 	dec := json.NewDecoder(r.Body)

@@ -14,14 +14,13 @@
 package sweep
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"unicode"
-
-	"netdesign/internal/instancefile"
 )
 
 // Spec is a sharded sweep specification: a seeded instance-family
@@ -109,7 +108,8 @@ func WriteSpec(w io.Writer, s Spec) error {
 func ParseSpec(r io.Reader) (Spec, error) {
 	var s Spec
 	sawSweep, sawCount := false, false
-	sc := instancefile.NewScanner(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22) // 64 KiB initial, 4 MiB longest line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

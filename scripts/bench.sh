@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-Dijkstra|MSTKruskal|MSTPrim|EquilibriumCheck|LCA400|Theorem6Enforce|BroadcastLP|WaterFill|SwapUpdate|SwapRebuild|SwapEval|BestResponse|SwapDynamics|SteinerTree|AnalyzeTrees|Sweep|WeightedPNE|RowGen|WilsonUST|Simplex|LPResolve|LPCold|LPSparse|LPDense|ServeSNE|ServeLoad}"
+PATTERN="${BENCH_PATTERN:-Dijkstra|MSTKruskal|EquilibriumCheck|LCA400|Theorem6Enforce|BroadcastLP|WaterFill|SwapUpdate|SwapRebuild|SwapEval|BestResponse|SwapDynamics|SteinerTree|AnalyzeTrees|Sweep|WeightedPNE|RowGen|WilsonUST|Simplex|LPResolve|LPCold|LPSparse|LPDense|ServeSNE|ServeLoad}"
 TIME="${BENCH_TIME:-1s}"
 OUT="${BENCH_OUT:-BENCH_$(date +%Y-%m-%d).json}"
 RAW="$(mktemp)"
