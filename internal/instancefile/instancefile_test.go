@@ -64,12 +64,6 @@ func TestReadErrors(t *testing.T) {
 		"nodes 2\nfrobnicate\n",                             // unknown directive
 		"nodes 2\nedge 0 0 1\nroot 0\n",                     // self loop
 		"edge 0 1 1\n",                                      // edge before nodes
-		"nodes x\nroot 0\n",                                 // bad node count
-		"nodes\nroot 0\n",                                   // missing node count
-		"nodes 2\nedge 0 5 1\nroot 0\n",                     // edge endpoint out of range
-		"nodes 2\nedge 0 1 -1\nroot 0\n",                    // negative weight
-		"nodes 2\nedge 0 1\nroot 0\n",                       // missing weight
-		"nodes 1000000000\nroot 0\n",                        // more nodes than the edges can span
 	}
 	for i, src := range bad {
 		if _, err := Read(strings.NewReader(src)); err == nil {
@@ -79,12 +73,45 @@ func TestReadErrors(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	src := "# instance\nnodes 3\n\nedge 0 1 2.5\n# between edges\nedge 1 2 2\nroot 0\n"
+	src := "# instance\nnodes 2\n\nedge 0 1 2.5\nroot 0\n"
 	in, err := Read(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Game.G.N() != 3 || in.Game.G.M() != 2 || in.Game.G.Weight(0) != 2.5 || in.Game.G.Weight(1) != 2 {
-		t.Errorf("parsed wrong: %v", in.Game.G)
+	if in.Game.G.Weight(0) != 2.5 {
+		t.Error("weight parsed wrong")
+	}
+}
+
+// TestReadGraphComments checks that comments and blank lines between the
+// nodes and edge lines of the graph section are skipped.
+func TestReadGraphComments(t *testing.T) {
+	src := "# a graph\nnodes 3\n\nedge 0 1 1.5\n# between edges\nedge 1 2 2\nroot 0\n"
+	in, err := Read(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := in.Game.G
+	if g.N() != 3 || g.M() != 2 || g.Weight(0) != 1.5 || g.Weight(1) != 2 {
+		t.Errorf("parsed wrong: %v", g)
+	}
+}
+
+// TestReadGraphErrors feeds malformed nodes and edge lines; each must be
+// refused even though the rest of the instance is well formed.
+func TestReadGraphErrors(t *testing.T) {
+	bad := []string{
+		"nodes x\nroot 0\n",               // bad node count
+		"nodes\nroot 0\n",                 // missing node count
+		"nodes 2\nedge 0 5 1\nroot 0\n",   // edge endpoint out of range
+		"nodes 2\nedge 0 1 -1\nroot 0\n",  // negative weight
+		"nodes 2\nedge 0 1\nroot 0\n",     // missing weight
+		"nodes 2\nfrobnicate 1\nroot 0\n", // unknown directive with an argument
+		"nodes 1000000000\nroot 0\n",      // more nodes than the edges can span
+	}
+	for _, src := range bad {
+		if _, err := Read(strings.NewReader(src)); err == nil {
+			t.Errorf("input %q: expected error", src)
+		}
 	}
 }
