@@ -9,8 +9,7 @@
 // Usage:
 //
 //	sweep -scenario enforce -seed 1 -count 1000 -size 24 -dir run/         # run + merge locally
-//	sweep -dir run/ -shard 3/8 -resume                                     # one worker process
-//	sweep -dir run/ -shards 8 -spawn                                       # spawn 8 worker processes, merge
+//	sweep -dir run/ -shards 8 -spawn                                       # one-host fabric: 8 worker processes, merge
 //	sweep -dir run/ -shards 8 -merge                                       # merge completed shards only
 //	sweep -coordinator http://host:8633                                    # fabric worker: lease shards until done
 //	sweep -scenario pos-swap -count 16 -size 40 -serial                    # serial oracle, no files
@@ -23,10 +22,13 @@
 // comes from the coordinator; no -dir or spec flags are needed.
 // -throttle sleeps that long before every instance — a deliberate
 // straggler knob the fault-injection smoke tests use to force
-// speculative re-execution.
+// speculative re-execution. -spawn is the same fabric on one host: a
+// coordinator over -dir on a loopback port and one -coordinator worker
+// process per shard. The coordinator decides success, so a worker that
+// dies leaves its shards to the others.
 //
-// The spec is pinned inside the run directory (spec.sweep), so resumed
-// and spawned workers need only -dir. Restarting over a non-empty
+// The spec is pinned inside the run directory (spec.sweep), so -merge
+// and resumed runs need only -dir. Restarting over a non-empty
 // checkpoint requires -resume: completed indices are skipped, a torn
 // final line from a killed writer is truncated and recomputed.
 //
@@ -36,9 +38,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"runtime"
@@ -67,11 +72,10 @@ func realMain(argv []string, stdout io.Writer) error {
 	var (
 		dir      = fs.String("dir", "", "run directory for shard checkpoints")
 		shards   = fs.Int("shards", 1, "number of shards")
-		shardArg = fs.String("shard", "", "run a single shard, formatted i/m (worker mode)")
 		workers  = fs.Int("workers", 0, "worker goroutines per shard (0 = one per CPU)")
 		syncEv   = fs.Int("syncevery", 0, "fsync the shard checkpoint every N records (0 = default window, <0 disables fsync)")
 		resume   = fs.Bool("resume", false, "continue from existing shard checkpoints")
-		spawn    = fs.Bool("spawn", false, "execute each shard in a spawned worker process")
+		spawn    = fs.Bool("spawn", false, "serve a local coordinator and spawn one worker process per shard")
 		merge    = fs.Bool("merge", false, "merge completed shards and print; run nothing")
 		serial   = fs.Bool("serial", false, "run the serial in-process oracle; no checkpoints")
 		markdown = fs.Bool("markdown", false, "emit a markdown table")
@@ -85,6 +89,9 @@ func realMain(argv []string, stdout io.Writer) error {
 	specFlags.Register(fs)
 	if err := fs.Parse(argv); err != nil {
 		return err
+	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards %d < 1", *shards)
 	}
 	if *list {
 		for _, name := range sweep.ScenarioNames() {
@@ -135,38 +142,16 @@ func realMain(argv []string, stdout io.Writer) error {
 		}
 		return render(tb)
 
-	case *shardArg != "": // worker mode: one shard, no merge, quiet stdout
-		shard, m, err := parseShard(*shardArg)
-		if err != nil {
-			return err
-		}
-		if *dir == "" {
-			return fmt.Errorf("-shard needs -dir")
-		}
-		if err := guardResume(spec, *dir, shard, m, *resume); err != nil {
-			return err
-		}
-		n, err := sweep.RunShard(spec, *dir, shard, m, sweep.Options{Workers: *workers, SyncEvery: *syncEv})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d: %d new records\n", shard, m, n)
-		return nil
-
 	case *spawn:
 		if *dir == "" {
 			return fmt.Errorf("-spawn needs -dir")
-		}
-		// Pin the spec first so workers need only -dir.
-		if err := sweep.WriteRunSpec(*dir, spec); err != nil {
-			return err
 		}
 		for shard := 0; shard < *shards; shard++ {
 			if err := guardResume(spec, *dir, shard, *shards, *resume); err != nil {
 				return err
 			}
 		}
-		// All shard processes run at once: an unset -workers must divide
+		// All worker processes run at once: an unset -workers must divide
 		// the CPUs between them, not hand each one the whole machine.
 		perWorker := *workers
 		if perWorker <= 0 {
@@ -174,10 +159,7 @@ func realMain(argv []string, stdout io.Writer) error {
 				perWorker = 1
 			}
 		}
-		if err := spawnShards(*dir, *shards, perWorker, *syncEv); err != nil {
-			return err
-		}
-		tb, err := sweep.Merge(spec, *dir, *shards)
+		tb, err := spawnFabric(spec, *dir, *shards, perWorker, *syncEv)
 		if err != nil {
 			return err
 		}
@@ -228,20 +210,6 @@ func runWorker(url, id string, workers, syncEvery int, throttle time.Duration) e
 	return nil
 }
 
-// parseShard parses "i/m" worker assignments.
-func parseShard(s string) (shard, m int, err error) {
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("want -shard i/m, got %q", s)
-	}
-	shard, err1 := strconv.Atoi(a)
-	m, err2 := strconv.Atoi(b)
-	if err1 != nil || err2 != nil || m < 1 || shard < 0 || shard >= m {
-		return 0, 0, fmt.Errorf("bad -shard %q", s)
-	}
-	return shard, m, nil
-}
-
 // guardResume refuses to extend a non-empty shard checkpoint unless
 // -resume was given: silently reusing stale checkpoints is how two
 // different sweeps end up merged. A stat suffices — RunShard does the
@@ -264,41 +232,63 @@ func guardResume(spec sweep.Spec, dir string, shard, m int, resume bool) error {
 	return nil
 }
 
-// spawnShards runs every shard as a separate worker process of this
-// binary, all concurrently (shard counts are small; each worker's
-// internal parallelism is -workers). Worker stderr passes through.
-func spawnShards(dir string, shards, workers, syncEvery int) error {
+// spawnFabric runs the sweep as a one-host fabric: a coordinator over
+// dir, served on a loopback port, and one -coordinator worker process of
+// this binary per shard. Worker stderr passes through. The coordinator
+// alone decides success — a worker that fails leaves its shards to the
+// others — so the run errors only if the sweep is incomplete once every
+// worker has exited.
+func spawnFabric(spec sweep.Spec, dir string, shards, workers, syncEvery int) (*table.Table, error) {
+	coord, err := fabric.New(fabric.Config{Spec: spec, Shards: shards, Store: sweep.NewDirBackend(dir)})
+	if err != nil {
+		return nil, err
+	}
 	exe, err := os.Executable()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cmds := make([]*exec.Cmd, shards)
-	for shard := 0; shard < shards; shard++ {
-		cmd := execCommand(exe, workerArgs(dir, shard, shards, workers, syncEvery)...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("spawn shard %d/%d: %w", shard, shards, err)
-		}
-		cmds[shard] = cmd
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	var firstErr error
-	for shard, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("worker shard %d/%d: %w", shard, shards, err)
-		}
-	}
-	return firstErr
-}
+	srv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln) // returns http.ErrServerClosed once the workers are gone
+	}()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
 
-// workerArgs is the argv a spawned shard worker runs with: the pinned
-// spec in -dir is the source of truth, and -resume lets relaunched
-// fleets pick up checkpoints.
-func workerArgs(dir string, shard, shards, workers, syncEvery int) []string {
-	return []string{
-		"-dir", dir,
-		"-shard", fmt.Sprintf("%d/%d", shard, shards),
+	args := []string{
+		"-coordinator", "http://" + ln.Addr().String(),
 		"-workers", strconv.Itoa(workers),
 		"-syncevery", strconv.Itoa(syncEvery),
-		"-resume",
 	}
+	var failed []error
+	var cmds []*exec.Cmd
+	for range shards {
+		cmd := execCommand(exe, args...)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			failed = append(failed, fmt.Errorf("spawn worker: %w", err))
+			continue
+		}
+		cmds = append(cmds, cmd)
+	}
+	for _, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			failed = append(failed, fmt.Errorf("worker pid %d: %w", cmd.Process.Pid, err))
+		}
+	}
+	tb, err := coord.Merge()
+	if err != nil {
+		return nil, errors.Join(append([]error{err}, failed...)...)
+	}
+	for _, err := range failed {
+		fmt.Fprintf(os.Stderr, "sweep: %v (the sweep completed without it)\n", err)
+	}
+	return tb, nil
 }

@@ -16,7 +16,7 @@ import (
 // tests re-execute this test binary with SWEEP_WORKER_PROCESS=1, it runs
 // realMain on the worker argv instead of the test suite — the standard
 // os/exec helper-process pattern, here proving that -spawn really
-// executes shards in separate processes.
+// computes in separate -coordinator worker processes.
 func TestMain(m *testing.M) {
 	if os.Getenv("SWEEP_WORKER_PROCESS") == "1" {
 		if err := realMain(os.Args[1:], os.Stdout); err != nil {
@@ -72,26 +72,6 @@ func TestRunAndMergeMatchSerial(t *testing.T) {
 	}
 }
 
-func TestShardWorkerModeAndPinnedSpec(t *testing.T) {
-	want := serialOutput(t)
-	dir := t.TempDir()
-	// Worker processes get the spec from flags once; later ones rely on
-	// the pinned spec.sweep.
-	if _, err := runCLI(t, append(specArgs(), "-dir", dir, "-shard", "0/2")...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runCLI(t, "-dir", dir, "-shard", "1/2"); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runCLI(t, "-dir", dir, "-shards", "2", "-merge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != want {
-		t.Errorf("worker-mode shards merge differs from serial:\n%s", out)
-	}
-}
-
 func TestResumeGuard(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := runCLI(t, append(specArgs(), "-dir", dir, "-shards", "2")...); err != nil {
@@ -142,19 +122,36 @@ func TestKillResumeCLI(t *testing.T) {
 	}
 }
 
-// TestSpawnWorkerProcesses exercises -spawn end to end with real child
-// processes (the test binary re-entered via TestMain).
-func TestSpawnWorkerProcesses(t *testing.T) {
+// spawnVia reroutes -spawn's children through this test binary (see
+// TestMain) for the rest of the test, passing each child's index and
+// argv through edit first.
+func spawnVia(t *testing.T, edit func(child int, args []string) []string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	orig := execCommand
+	children := 0
 	execCommand = func(name string, args ...string) *exec.Cmd {
-		cmd := exec.Command(name, args...)
+		cmd := exec.Command(name, edit(children, args)...)
+		children++
 		cmd.Env = append(os.Environ(), "SWEEP_WORKER_PROCESS=1")
 		return cmd
 	}
-	defer func() { execCommand = orig }()
+	t.Cleanup(func() { execCommand = orig })
+}
+
+// TestSpawnWorkerProcesses exercises -spawn end to end with real child
+// processes (the test binary re-entered via TestMain): every child is a
+// -coordinator worker of the parent's local coordinator, the printed
+// table is the serial oracle's, and every canonical shard checkpoint
+// lands in -dir.
+func TestSpawnWorkerProcesses(t *testing.T) {
+	var argvs [][]string
+	spawnVia(t, func(_ int, args []string) []string {
+		argvs = append(argvs, args)
+		return args
+	})
 
 	want := serialOutput(t)
 	dir := t.TempDir()
@@ -165,11 +162,42 @@ func TestSpawnWorkerProcesses(t *testing.T) {
 	if out != want {
 		t.Errorf("spawned run differs from serial:\n--- serial ---\n%s--- spawned ---\n%s", want, out)
 	}
-	// All three shard checkpoints exist — each written by its own process.
+	if len(argvs) != 3 {
+		t.Fatalf("spawned %d children, want 3", len(argvs))
+	}
+	for i, args := range argvs {
+		if len(args) < 2 || args[0] != "-coordinator" || !strings.HasPrefix(args[1], "http://127.0.0.1:") {
+			t.Errorf("child %d argv %q: want a -coordinator worker of a loopback coordinator", i, args)
+		}
+	}
 	for shard := 0; shard < 3; shard++ {
 		if _, err := os.Stat(sweep.ShardPath(dir, shard, 3)); err != nil {
 			t.Errorf("shard %d checkpoint missing: %v", shard, err)
 		}
+	}
+}
+
+// TestSpawnSurvivesFailedChild fails child 0 before it takes a lease:
+// the coordinator, not the children's exit codes, decides the run, so
+// the surviving children finish its shard and the table still matches
+// the serial oracle.
+func TestSpawnSurvivesFailedChild(t *testing.T) {
+	spawnVia(t, func(child int, args []string) []string {
+		if child == 0 {
+			// -coordinator refuses -dir before contacting the
+			// coordinator, so this child exits 1 holding no lease.
+			return append(args, "-dir", "refused")
+		}
+		return args
+	})
+
+	want := serialOutput(t)
+	out, err := runCLI(t, append(specArgs(), "-dir", t.TempDir(), "-shards", "3", "-spawn")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != want {
+		t.Errorf("run with a failed child differs from serial:\n--- serial ---\n%s--- spawned ---\n%s", want, out)
 	}
 }
 
@@ -213,8 +241,10 @@ func TestFlagErrors(t *testing.T) {
 		{},                               // no spec source
 		{"-scenario", "nope", "-serial"}, // unknown scenario (caught at run)
 		{"-scenario", "enforce"},         // no -dir and not -serial
-		{"-scenario", "enforce", "-dir", "x", "-shard", "2/2"}, // shard out of range
-		{"-scenario", "enforce", "-dir", "x", "-shard", "zz"},  // malformed shard
+		// -shards < 1, refused before any mode runs
+		{"-scenario", "enforce", "-count", "4", "-size", "5", "-dir", "x", "-shards", "0", "-spawn"},
+		{"-scenario", "enforce", "-count", "4", "-size", "5", "-dir", "x", "-shards", "-2", "-spawn"},
+		{"-scenario", "enforce", "-count", "4", "-size", "5", "-dir", "x", "-shards", "0", "-merge"},
 		{"-scenario", "enforce", "-param", "broken", "-serial"},
 		{"-merge", "-scenario", "enforce"}, // -merge without -dir
 		{"-spec", "/nonexistent/spec"},

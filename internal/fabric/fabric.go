@@ -1,7 +1,6 @@
-// Package fabric is the distributed sweep layer: a coordinator that owns
-// a sweep manifest (spec + shard plan + completion state) and hands out
-// shard leases over HTTP to worker processes, promoted from cmd/sweep's
-// single-host -shard i/m -spawn splitting.
+// Package fabric is the distributed sweep layer, the one way a sweep is
+// split across processes: a coordinator that owns a sweep manifest (spec
+// + shard plan + completion state) and leases shards to workers over HTTP.
 //
 // The design is fault-first. Workers die mid-shard, heartbeats vanish,
 // the network partitions — and none of it may show in the merged table,
@@ -41,7 +40,8 @@
 //
 // Deterministic fault injection for all of the above lives in
 // internal/fabric/chaos. cmd/sweepd runs the coordinator; cmd/sweep
-// -coordinator runs a worker.
+// -coordinator runs a worker; cmd/sweep -spawn runs both on one host, a
+// loopback coordinator and one worker child process per shard.
 package fabric
 
 import (

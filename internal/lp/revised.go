@@ -52,22 +52,23 @@ const refactorEvery = 64
 const ftRefactorEvery = 192
 
 // ftMinRows gates the Forrest–Tomlin update path (and with it the
-// longer refactorization cadence) by basis size. Small bases refactorize
-// so cheaply that the product-form eta file is already optimal — and the
-// golden experiment tables pin pivot counts on the legacy path, whose
-// post-update FTRAN rounding differs in the last bit. The largest
-// golden-pinned LP has 759 rows; every gated feature must switch on
-// strictly above that. Package-level so tests can force either path.
+// longer refactorization cadence) by basis size, on speed alone: every
+// golden, pivot counts included, also passes with this gate and
+// dseMinRows at 0. Small bases refactorize so cheaply that the
+// product-form eta file wins (E1's tiny LPs: 156 µs median gated, 201 µs
+// forced on); big ones gain (BenchmarkLPSparseSolve2000: 1.56–1.74 s
+// gated, 2.10–2.20 s with FT off; DESIGN §8). Package-level so tests can
+// force either path.
 var ftMinRows = 800
 
-// dseMinRows gates exact dual steepest-edge pricing the same way: it
-// changes pivot selection, so golden-pinned LPs stay on devex. Above the
-// gate the dual loop pays one extra (dense-input) FTRAN per pivot for
-// reference-free exact weights. Measured on the LPSparseSolve family,
-// the pivots saved (−42% at 2000 rows) outrun that surcharge somewhere
-// between 1000 rows (−29% pivots, +6% wall) and 2000 rows (−32% wall);
-// below the crossover devex remains the cheap fallback. Package-level
-// so tests can force either mode.
+// dseMinRows gates exact dual steepest-edge pricing the same way, on
+// speed. Above the gate the dual loop pays one extra (dense-input) FTRAN
+// per pivot for reference-free exact weights. Measured on the
+// LPSparseSolve family, the pivots saved (−42% at 2000 rows) outrun that
+// surcharge somewhere between 1000 rows (−29% pivots, +6% wall) and 2000
+// rows (DSE off: 2.12–3.17 s against 1.56–1.74 s); below the crossover
+// devex remains the cheap fallback. Package-level so tests can force
+// either mode.
 var dseMinRows = 1200
 
 // Nonbasic/basic variable states.

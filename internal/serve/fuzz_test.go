@@ -13,13 +13,13 @@ import (
 )
 
 // FuzzHandler sends arbitrary bodies through the full route table to
-// /v1/check, /v1/sne, /v2/check and /v2/sne. Whatever the bytes, the
-// handler must not panic and must answer a status from the allowed set;
-// a /v2 body must be whole frames whose first status byte agrees with
-// the HTTP status, a /v1 error must be a JSON {"error": ...}, and the
-// inflight gauge must be back at 0. Requests for the sne methods that
-// search (aon) or enumerate (theorem6, greedy) are skipped: only lp and
-// full keep the work per input small.
+// all eight solve routes, /v1 and /v2 of check, sne, snd and pos.
+// Whatever the bytes, the handler must not panic and must answer a
+// status from the allowed set; a /v2 body must be whole frames whose
+// first status byte agrees with the HTTP status, a /v1 error must be a
+// JSON {"error": ...}, and the inflight gauge must be back at 0.
+// Requests whose work the body cap does not bound are skipped (see
+// bounded).
 func FuzzHandler(f *testing.F) {
 	inst := parse(f, cycle5)
 	for _, seed := range []struct {
@@ -37,35 +37,23 @@ func FuzzHandler(f *testing.F) {
 		{3, wire.AppendFrame(nil, wire.AppendSNERequest(nil, inst, wire.MethodFull))},
 		{3, []byte{9, 0, 0, 0, 1, 2}},
 		{3, []byte{0xFF, 0xFF, 0xFF, 0xFF}},
+		{4, []byte(`{"instance":"nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 0 2 5\nroot 0\n","budget":1}`)},
+		{4, []byte(`{"instance":"nodes 2\nedge 0 1 2.5\nroot 1\n","budget":-1}`)},
+		{5, []byte(`{"instance":"nodes 5\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 4 1\nedge 4 0 1\nedge 0 2 1.5\nroot 0\n","starts":3,"maxsteps":40,"seed":7}`)},
+		{6, wire.AppendFrame(nil, wire.AppendSNDRequest(nil, inst, 2, false, 0))},
+		{7, wire.AppendFrame(wire.AppendFrame(nil, wire.AppendPoSRequest(nil, inst, 2, 40, 3)), []byte{1, 0})},
 	} {
 		f.Add(seed.route, seed.body)
 	}
 
-	const maxBody = 2048
-	routes := [...]string{"/v1/check", "/v1/sne", "/v2/check", "/v2/sne"}
-	s := New(Config{MaxBodyBytes: maxBody})
+	routes := [...]string{"/v1/check", "/v1/sne", "/v2/check", "/v2/sne", "/v1/snd", "/v1/pos", "/v2/snd", "/v2/pos"}
+	s := New(Config{MaxBodyBytes: fuzzMaxBody})
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		path := routes[int(route)%len(routes)]
 		v2 := strings.HasPrefix(path, "/v2/")
-		if path == "/v1/sne" {
-			var req sneRequest
-			if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && !cheapMethod(req.Method) {
-				t.Skip()
-			}
-		}
-		if path == "/v2/sne" {
-			var dec wire.ReqDecoder
-			r := bytes.NewReader(body)
-			for range maxPipelineFrames {
-				payload, err := wire.ReadFrame(r, nil, maxBody)
-				if err != nil {
-					break
-				}
-				if _, method, err := dec.SNE(payload); err == nil && !cheapMethod(method) {
-					t.Skip()
-				}
-			}
+		if !bounded(path, body) {
+			t.Skip()
 		}
 
 		rec := httptest.NewRecorder()
@@ -104,6 +92,69 @@ func FuzzHandler(f *testing.F) {
 			t.Fatalf("inflight gauge %d after the request returned", n)
 		}
 	})
+}
+
+// fuzzMaxBody is the per-request body cap FuzzHandler serves with.
+const fuzzMaxBody = 2048
+
+// Caps on the PoS fields a fuzzed request may set: swap descent runs up
+// to starts × maxsteps steps, whatever the body size.
+const (
+	fuzzMaxStarts = 8
+	fuzzMaxSteps  = 256
+)
+
+// bounded reports whether every request in body asks only for work the
+// body cap bounds. The sne methods that search (aon) or enumerate
+// (theorem6, greedy) do not, nor does exact SND, which enumerates
+// spanning trees, nor PoS descent with starts or maxsteps above the
+// caps (maxsteps 0 means 100000). A request the route cannot decode is
+// refused before any solve, so it counts as bounded.
+func bounded(path string, body []byte) bool {
+	if !strings.HasPrefix(path, "/v2/") {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		switch path {
+		case "/v1/sne":
+			var req sneRequest
+			return dec.Decode(&req) != nil || cheapMethod(req.Method)
+		case "/v1/snd":
+			var req sndRequest
+			return dec.Decode(&req) != nil || !req.Exact
+		case "/v1/pos":
+			var req posRequest
+			return dec.Decode(&req) != nil || cheapPoS(req.Starts, req.MaxSteps)
+		}
+		return true
+	}
+	var dec wire.ReqDecoder
+	r := bytes.NewReader(body)
+	for range maxPipelineFrames {
+		payload, err := wire.ReadFrame(r, nil, fuzzMaxBody)
+		if err != nil {
+			return true
+		}
+		switch path {
+		case "/v2/sne":
+			if _, method, err := dec.SNE(payload); err == nil && !cheapMethod(method) {
+				return false
+			}
+		case "/v2/snd":
+			if _, _, exact, _, err := dec.SND(payload); err == nil && exact {
+				return false
+			}
+		case "/v2/pos":
+			if _, starts, steps, _, err := dec.PoS(payload); err == nil && !cheapPoS(starts, steps) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cheapPoS reports whether a PoS request stays within the fuzz caps
+// (starts ≤ 0 runs the served default of 4).
+func cheapPoS(starts, maxSteps int) bool {
+	return starts <= fuzzMaxStarts && maxSteps >= 1 && maxSteps <= fuzzMaxSteps
 }
 
 // cheapMethod reports whether an sne method is bounded by the instance

@@ -52,7 +52,7 @@ func ShardPath(dir string, shard, shards int) string {
 }
 
 // specFileName pins the sweep spec inside its run directory so resumed
-// and spawned workers can verify they are extending the same sweep.
+// runs, merges and the fabric coordinator verify they extend one sweep.
 const specFileName = "spec.sweep"
 
 // SpecPath returns the run directory's pinned spec path.
@@ -363,6 +363,9 @@ func Merge(spec Spec, dir string, shards int) (*table.Table, error) {
 
 // MergeOn is Merge over any checkpoint Backend.
 func MergeOn(b Backend, spec Spec, shards int) (*table.Table, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("sweep: shards %d < 1", shards)
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

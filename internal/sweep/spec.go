@@ -1,9 +1,9 @@
 // Package sweep is the distribution layer over the per-instance engines:
 // it partitions large seeded instance families into deterministic shards,
-// runs shards on worker goroutines or spawned worker processes
-// (cmd/sweep), checkpoints per-shard results as append-only JSONL under a
-// run directory, and merges completed shards into the exact
-// registry-order tables internal/experiments emits from a serial run.
+// runs shards on worker goroutines, checkpoints per-shard results as
+// append-only JSONL behind a Backend (a run directory, or the store of
+// the internal/fabric coordinator that leases shards to processes), and
+// merges completed shards into the exact tables of a serial run.
 //
 // The unit of work is an *instance index*, not a materialized graph: a
 // Spec names a registered Scenario plus a base seed and a count, and

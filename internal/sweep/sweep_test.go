@@ -323,6 +323,13 @@ func TestMergeRejectsIncompleteRun(t *testing.T) {
 	if _, err := Merge(spec, dir, 3); err == nil {
 		t.Error("merge of incomplete run succeeded")
 	}
+	// A shard count below 1 names itself, not the empty record set it
+	// would otherwise read.
+	for _, shards := range []int{0, -2} {
+		if _, err := Merge(spec, dir, shards); err == nil || !strings.Contains(err.Error(), "shards") {
+			t.Errorf("merge over %d shards: err %v, want a shard-count error", shards, err)
+		}
+	}
 }
 
 func TestCheckpointFilesAreJSONL(t *testing.T) {
