@@ -350,9 +350,10 @@ func BenchmarkSweepSNELPCold(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSNELPWarm chains the same family through cross-instance
-// basis homotopy (lp.Basis handed instance to instance) — the sne-lp
-// scenario's warm=1 solve path.
+// BenchmarkSweepSNELPWarm chains the same family through one
+// sne.BroadcastLPChain, each member warm-started from the previous
+// member's basis (same structure, new weights) — the sne-lp scenario's
+// warm=1 solve path.
 func BenchmarkSweepSNELPWarm(b *testing.B) {
 	sts := sneLPJitterFamily(b, 32, 128)
 	b.ReportAllocs()
@@ -360,7 +361,7 @@ func BenchmarkSweepSNELPWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		chain := sne.NewBroadcastLPChain()
 		for _, st := range sts {
-			if _, err := chain.Solve(st); err != nil {
+			if _, _, err := chain.SolveNearby(st); err != nil {
 				b.Fatal(err)
 			}
 		}

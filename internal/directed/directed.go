@@ -270,11 +270,10 @@ func SolveSNE(st *State, maxIters int) (game.Subsidy, float64, error) {
 	return b, cost, err
 }
 
-// SolveSNEFrom is SolveSNE seeded with a basis from a structurally nearby
-// instance (cross-instance homotopy) and additionally returning the final
-// optimal basis, so a sweep over a family of digraph states can chain
-// warm starts. A nil or incompatible warm basis degrades to a cold first
-// solve.
+// SolveSNEFrom is SolveSNE seeded with a basis from another solve and
+// additionally returning the final optimal basis. The first solve starts
+// from warm only where lp.ResolveFrom can seat it dual feasible; a nil
+// or unusable basis gives the cold first solve.
 func SolveSNEFrom(st *State, maxIters int, warm *lp.Basis) (game.Subsidy, float64, *lp.Basis, error) {
 	if maxIters <= 0 {
 		maxIters = 10000

@@ -36,27 +36,6 @@ func MST(g *Graph) ([]int, error) {
 	return nil, ErrDisconnected
 }
 
-// MSTNaive is the original Kruskal implementation, re-sorting the edge
-// list on every call. Retained as the differential-test oracle for MST.
-func MSTNaive(g *Graph) ([]int, error) {
-	ids := g.SortedEdgeIDs()
-	dsu := NewUnionFind(g.N())
-	tree := make([]int, 0, g.N()-1)
-	for _, id := range ids {
-		e := g.Edge(id)
-		if dsu.Union(e.U, e.V) {
-			tree = append(tree, id)
-			if len(tree) == g.N()-1 {
-				return tree, nil
-			}
-		}
-	}
-	if g.N() <= 1 {
-		return tree, nil
-	}
-	return nil, ErrDisconnected
-}
-
 // IsMinimumSpanningTree reports whether the given spanning tree has the
 // same total weight as an MST of g (there may be many MSTs; the paper's
 // hardness construction for SND exploits exactly this).

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // WeightFunc maps an edge ID to a non-negative traversal cost. Best-response
 // computations in games use it to price edges by their marginal cost share
@@ -13,26 +10,6 @@ type WeightFunc func(edgeID int) float64
 // DefaultWeights returns the graph's own edge weights as a WeightFunc.
 func DefaultWeights(g *Graph) WeightFunc {
 	return func(id int) float64 { return g.Weight(id) }
-}
-
-// spItem is a heap entry for the naive Dijkstra oracle.
-type spItem struct {
-	node int
-	dist float64
-}
-
-type spHeap []spItem
-
-func (h spHeap) Len() int            { return len(h) }
-func (h spHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h spHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *spHeap) Push(x interface{}) { *h = append(*h, x.(spItem)) }
-func (h *spHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // ShortestPaths holds the result of a single-source Dijkstra run.
@@ -67,51 +44,6 @@ func Dijkstra(g *Graph, src int, w WeightFunc) *ShortestPaths {
 	for i := 0; i < n; i++ {
 		sp.ParEdge[i] = int(s.ParEdge[i])
 		sp.ParNode[i] = int(s.ParNode[i])
-	}
-	return sp
-}
-
-// DijkstraNaive is the original container/heap implementation (lazy
-// deletion, interface boxing). It is retained as the differential-test
-// oracle for the CSR fast path.
-func DijkstraNaive(g *Graph, src int, w WeightFunc) *ShortestPaths {
-	if w == nil {
-		w = DefaultWeights(g)
-	}
-	n := g.N()
-	sp := &ShortestPaths{
-		Source:  src,
-		Dist:    make([]float64, n),
-		ParEdge: make([]int, n),
-		ParNode: make([]int, n),
-	}
-	for i := range sp.Dist {
-		sp.Dist[i] = math.Inf(1)
-		sp.ParEdge[i] = -1
-		sp.ParNode[i] = -1
-	}
-	sp.Dist[src] = 0
-	done := make([]bool, n)
-	h := &spHeap{{node: src, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(spItem)
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		for _, half := range g.Adj(it.node) {
-			wc := w(half.Edge)
-			if wc < 0 {
-				panic("graph: Dijkstra requires non-negative weights")
-			}
-			nd := it.dist + wc
-			if nd < sp.Dist[half.To] {
-				sp.Dist[half.To] = nd
-				sp.ParEdge[half.To] = half.Edge
-				sp.ParNode[half.To] = it.node
-				heap.Push(h, spItem{node: half.To, dist: nd})
-			}
-		}
 	}
 	return sp
 }

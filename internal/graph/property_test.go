@@ -187,9 +187,10 @@ func TestPropertyLCAMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		naive := lcaNaive(tr)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				if tr.LCA(u, v) != tr.LCANaive(u, v) {
+				if tr.LCA(u, v) != naive(u, v) {
 					return false
 				}
 			}

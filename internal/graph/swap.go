@@ -209,7 +209,6 @@ func (t *RootedTree) rebuildDerived() {
 		t.Order = append(t.Order, t.Children[t.Order[i]]...)
 	}
 	t.buildEuler()
-	t.up = nil // lazily rebuilt if LCANaive is used on the committed tree
 }
 
 // lcaOverlay answers an LCA query for the swapped tree from the base

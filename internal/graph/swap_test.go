@@ -102,13 +102,14 @@ func assertMatchesFresh(t *testing.T, tr *RootedTree, ctx string) {
 			t.Fatalf("%s: Contains(%d) mismatch", ctx, id)
 		}
 	}
+	naive := lcaNaive(tr)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if got, want := tr.LCA(u, v), fresh.LCA(u, v); got != want {
 				t.Fatalf("%s: LCA(%d,%d) = %d, want %d", ctx, u, v, got, want)
 			}
-			if got, want := tr.LCANaive(u, v), fresh.LCA(u, v); got != want {
-				t.Fatalf("%s: LCANaive(%d,%d) = %d, want %d", ctx, u, v, got, want)
+			if got, want := naive(u, v), fresh.LCA(u, v); got != want {
+				t.Fatalf("%s: naive LCA(%d,%d) = %d, want %d", ctx, u, v, got, want)
 			}
 		}
 	}

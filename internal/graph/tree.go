@@ -32,8 +32,6 @@ type RootedTree struct {
 	eulerDepth []int32
 	sparse     [][]int32
 
-	up [][]int // binary lifting for LCANaive; built lazily
-
 	// swp holds the state of a pending single-edge swap (see swap.go).
 	// While a swap is pending, Parent/ParEdge/Depth/inTree/EdgeIDs
 	// describe the swapped tree, whereas Children, Order and the Euler
@@ -182,28 +180,6 @@ func growRow(row []int32, l int) []int32 {
 	return row[:l]
 }
 
-// buildLifting fills the binary-lifting ancestor table (LCANaive only).
-func (t *RootedTree) buildLifting() {
-	n := t.G.N()
-	levels := 1
-	if n > 1 {
-		levels = bits.Len(uint(n - 1))
-	}
-	t.up = make([][]int, levels)
-	t.up[0] = append([]int(nil), t.Parent...)
-	for k := 1; k < levels; k++ {
-		t.up[k] = make([]int, n)
-		for v := 0; v < n; v++ {
-			mid := t.up[k-1][v]
-			if mid == -1 {
-				t.up[k][v] = -1
-			} else {
-				t.up[k][v] = t.up[k-1][mid]
-			}
-		}
-	}
-}
-
 // Contains reports whether edge id belongs to the tree.
 func (t *RootedTree) Contains(id int) bool { return t.inTree[id] }
 
@@ -238,50 +214,6 @@ func (t *RootedTree) lcaBase(u, v int) int {
 // baseDepth returns a node's depth in the base tree (Depth itself is
 // rewritten for detached-subtree nodes while a swap is pending).
 func (t *RootedTree) baseDepth(w int) int32 { return t.eulerDepth[t.eulerFirst[w]] }
-
-// LCANaive answers the same query by binary lifting in O(log n). It is
-// retained as the differential-test oracle for LCA; the lifting table is
-// built lazily on first use (and is not safe to race on first use).
-// With a pending swap it falls back to an O(depth) two-pointer walk over
-// the live Parent/Depth arrays — exactly the oracle the overlay fast
-// path is tested against.
-func (t *RootedTree) LCANaive(u, v int) int {
-	if t.swp.active {
-		for t.Depth[u] > t.Depth[v] {
-			u = t.Parent[u]
-		}
-		for t.Depth[v] > t.Depth[u] {
-			v = t.Parent[v]
-		}
-		for u != v {
-			u, v = t.Parent[u], t.Parent[v]
-		}
-		return u
-	}
-	if t.up == nil {
-		t.buildLifting()
-	}
-	if t.Depth[u] < t.Depth[v] {
-		u, v = v, u
-	}
-	diff := t.Depth[u] - t.Depth[v]
-	for k := 0; diff != 0; k++ {
-		if diff&1 == 1 {
-			u = t.up[k][u]
-		}
-		diff >>= 1
-	}
-	if u == v {
-		return u
-	}
-	for k := len(t.up) - 1; k >= 0; k-- {
-		if t.up[k][u] != t.up[k][v] {
-			u = t.up[k][u]
-			v = t.up[k][v]
-		}
-	}
-	return t.Parent[u]
-}
 
 // PathToRoot returns the edge IDs on the tree path from u up to the root,
 // ordered from u upward. This is player u's strategy T_u in a broadcast

@@ -14,7 +14,7 @@ import (
 
 // Mix kinds. The jitter mix is the warm-friendly E22 stream: one base
 // graph, non-tree weights rescaled per instance, so each request after
-// the first on a server chain resolves by basis homotopy. The
+// the first on a server chain re-solves warm from that chain's basis. The
 // adversarial mix is the cold worst case: every instance a fresh random
 // structure, shuffled, so every solve is cold. The mixed stream
 // interleaves the two: a jitter request is warm only when the request

@@ -9,27 +9,77 @@ import (
 // Adversarial instances for the sparse kernel: families engineered to
 // break simplex implementations — exponential pivot paths (Klee–Minty),
 // cycling under naive pricing (Beale), heavy degeneracy and rank
-// deficiency. Every solve is held to the dense tableau oracle; the point
-// is that devex + the Bland fallback terminate and agree, not that they
-// take any particular path.
+// deficiency — each in a form of the model class (c ≥ 0). Every solve is
+// held to the dense tableau oracle; the point is that devex + the Bland
+// fallback terminate and agree, not that they take any particular path.
 
-// kleeMinty builds the n-dimensional Klee–Minty cube in its standard
-// form: max Σ 2^{n−j}·x_j subject to 2·Σ_{k<j} 2^{j−k}·x_k + x_j ≤ 5^j.
-// The optimum is 5^n at (0, …, 0, 5^n); Dantzig's rule visits all 2^n
-// vertices.
+// kleeMinty builds the n-dimensional Klee–Minty cube, max Σ 2^{n−j}·x_j
+// subject to 2·Σ_{k<j} 2^{j−k}·x_k + x_j ≤ 5^j, recast to c ≥ 0: the rows
+// imply x_j ≤ 5^j, so x_j = 5^j − y_j with 0 ≤ y_j ≤ 5^j turns it into
+// min Σ 2^{n−j}·y_j subject to 2·Σ_{k<j} 2^{j−k}·y_k + y_j ≥
+// 2·Σ_{k<j} 2^{j−k}·5^k. The original optimum (0, …, 0, 5^n) is
+// y = (5, …, 5^{n−1}, 0). The recast still checks the answer, but it no
+// longer attacks a pivot rule: Dantzig's 2^n-vertex path belongs to the
+// primal simplex on the original form. It returns the model and the
+// original optimum.
 func kleeMinty(n int) (*Model, float64) {
 	m := NewModel()
 	for j := 0; j < n; j++ {
-		m.AddVar(-math.Pow(2, float64(n-1-j)), math.Inf(1))
+		m.AddVar(math.Pow(2, float64(n-1-j)), math.Pow(5, float64(j+1)))
 	}
 	for j := 0; j < n; j++ {
 		coefs := map[int]float64{j: 1}
+		rhs := 0.0
 		for k := 0; k < j; k++ {
 			coefs[k] = 2 * math.Pow(2, float64(j-k))
+			rhs += coefs[k] * math.Pow(5, float64(k+1))
 		}
-		m.AddConstraint(coefs, LE, math.Pow(5, float64(j+1)))
+		m.AddConstraint(coefs, GE, rhs)
 	}
 	return m, -math.Pow(5, float64(n))
+}
+
+// kleeMintyX maps a recast point back to the original x_j = 5^j − y_j.
+func kleeMintyX(y []float64) []float64 {
+	x := make([]float64, len(y))
+	for j := range y {
+		x[j] = math.Pow(5, float64(j+1)) - y[j]
+	}
+	return x
+}
+
+// bealeDual builds the LP dual of Beale's cycling example
+//
+//	min −0.75x₁ + 150x₂ − 0.02x₃ + 6x₄
+//	s.t. 0.25x₁ − 60x₂ − 0.04x₃ + 9x₄ ≤ 0
+//	     0.5x₁  − 90x₂ − 0.02x₃ + 3x₄ ≤ 0
+//	     x₃ ≤ 1
+//
+// with its first two rows repeated reps times. Its costs are Beale's
+// right-hand sides (0, …, 0, 1), so it is Beale's example recast to
+// c ≥ 0: one multiplier u_i ≥ 0 per row, one row Σ_i a_ij·u_i ≥ −c_j per
+// column, min u_last. By strong duality its optimum is 0.05, minus
+// Beale's −0.05. The dual simplex on the dual walks the primal simplex's
+// path on Beale's form, so the degenerate pivots stay.
+func bealeDual(reps int) *Model {
+	m := NewModel()
+	var u []int
+	for r := 0; r < reps; r++ {
+		u = append(u, m.AddVar(0, math.Inf(1)), m.AddVar(0, math.Inf(1)))
+	}
+	u3 := m.AddVar(1, math.Inf(1))
+	col := func(a1, a2, a3, c float64) {
+		coefs := map[int]float64{u3: a3}
+		for r := 0; r < reps; r++ {
+			coefs[u[2*r]], coefs[u[2*r+1]] = a1, a2
+		}
+		m.AddConstraint(coefs, GE, -c)
+	}
+	col(0.25, 0.5, 0, -0.75)
+	col(-60, -90, 0, 150)
+	col(-0.04, -0.02, 1, -0.02)
+	col(9, 3, 0, 6)
+	return m
 }
 
 func TestKleeMintyCubes(t *testing.T) {
@@ -42,8 +92,16 @@ func TestKleeMintyCubes(t *testing.T) {
 		if sp.Status != Optimal {
 			t.Fatalf("n=%d: status %v", n, sp.Status)
 		}
-		if math.Abs(sp.Objective-want) > 1e-6*(1+math.Abs(want)) {
-			t.Fatalf("n=%d: objective %v, want %v", n, sp.Objective, want)
+		x := kleeMintyX(sp.X)
+		got := 0.0
+		for j, xj := range x {
+			got -= math.Pow(2, float64(n-1-j)) * xj
+		}
+		if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+			t.Fatalf("n=%d: original objective %v, want %v", n, got, want)
+		}
+		if math.Abs(x[n-1]+want) > 1e-6*(1+math.Abs(want)) {
+			t.Fatalf("n=%d: x = %v, want (0, …, 0, 5^n)", n, x)
 		}
 		dn, err := m.SolveDense()
 		if err != nil || dn.Status != Optimal {
@@ -63,19 +121,9 @@ func TestKleeMintyCubes(t *testing.T) {
 // pivots are degenerate and cycling is the classic failure mode.
 func TestHighlyDegenerate(t *testing.T) {
 	builders := map[string]func() *Model{
-		"beale-dup": func() *Model {
-			m := NewModel()
-			x1 := m.AddVar(-0.75, math.Inf(1))
-			x2 := m.AddVar(150, math.Inf(1))
-			x3 := m.AddVar(-0.02, math.Inf(1))
-			x4 := m.AddVar(6, math.Inf(1))
-			for rep := 0; rep < 3; rep++ { // duplicated cycling block
-				m.AddConstraint(map[int]float64{x1: 0.25, x2: -60, x3: -0.04, x4: 9}, LE, 0)
-				m.AddConstraint(map[int]float64{x1: 0.5, x2: -90, x3: -0.02, x4: 3}, LE, 0)
-			}
-			m.AddConstraint(map[int]float64{x3: 1}, LE, 1)
-			return m
-		},
+		// Recast to c ≥ 0: the dual of Beale's example with its cycling
+		// block repeated three times, which repeats its columns.
+		"beale-dup": func() *Model { return bealeDual(3) },
 		"zero-rhs-cone": func() *Model {
 			// Everything tied at the origin; optimum 0 with massive
 			// degeneracy.
@@ -160,10 +208,10 @@ func perturbRHS(m *Model, eps float64) *Model {
 	return c
 }
 
-// TestResolveFromForeignModel drives cross-instance homotopy directly: a
-// basis captured on one model warm starts a *different* model with the
-// same structure, and must land on that model's own optimum (held to the
-// dense oracle).
+// TestResolveFromForeignModel: a basis captured on one model warm starts
+// a *different* model of the same structure and costs with new row
+// constants — the class that stays dual feasible once seated — and must
+// land on that model's own optimum (held to the dense oracle).
 func TestResolveFromForeignModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	chained, optimal := 0, 0
@@ -211,13 +259,30 @@ func TestResolveFromForeignModel(t *testing.T) {
 	}
 }
 
-// TestResolveFromTruncatedRows exercises the projection in the shrinking
-// direction: the basis comes from a model with MORE rows than the target
-// (a homotopy source later in its row-generation run). The projection
-// must still produce the target's optimum.
+// seatsDualFeasible reports whether bs, seated on m as ResolveFrom seats
+// it, factorizes and prices out: the only bases the dual simplex starts
+// from.
+func seatsDualFeasible(m *Model, bs *Basis) bool {
+	s := newSparse(m)
+	defer s.release()
+	s.initFromBasis(bs)
+	if _, err := s.refresh(true); err != nil {
+		return false
+	}
+	s.computeDuals()
+	return s.dualFeasible()
+}
+
+// TestResolveFromTruncatedRows: a basis ResolveFrom cannot start from
+// returns the cold solve's answer bit for bit, pivot count and basis
+// included. Three kinds are drawn: a basis with more rows than the model
+// (taken from the same model before rows were dropped), a basis of the
+// same structure under other costs that seats dual infeasible, and one
+// with the wrong variable count. A same-structure basis that does seat
+// dual feasible must still reach the dense oracle's optimum.
 func TestResolveFromTruncatedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
-	exercised := 0
+	truncated, infeasible, feasible := 0, 0, 0
 	for trial := 0; trial < 1200; trial++ {
 		big := randomModel(rng)
 		if big.NumConstraints() < 2 {
@@ -230,7 +295,7 @@ func TestResolveFromTruncatedRows(t *testing.T) {
 		if solBig.Status != Optimal {
 			continue
 		}
-		// Rebuild the model with only a prefix of its rows.
+		// The same model with only a prefix of its rows.
 		small := NewModel()
 		for j := 0; j < big.NumVars(); j++ {
 			small.AddVar(big.obj[j], big.ub[j])
@@ -240,26 +305,52 @@ func TestResolveFromTruncatedRows(t *testing.T) {
 			cols, vals, op, rhs := big.Row(i)
 			small.AddRow(cols, vals, op, rhs)
 		}
-		warm, err := small.ResolveFrom(solBig.Basis)
-		if err != nil {
-			t.Fatalf("trial %d: warm: %v", trial, err)
+		// The same structure under fresh costs.
+		repriced := big.Clone()
+		for j := range repriced.obj {
+			repriced.obj[j] = rng.Float64() * 3
 		}
-		dense, err := small.SolveDense()
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		exercised++
-		if warm.Status != dense.Status {
-			t.Fatalf("trial %d: warm %v vs dense %v", trial, warm.Status, dense.Status)
-		}
-		if warm.Status == Optimal {
-			if math.Abs(warm.Objective-dense.Objective) > 1e-6*(1+math.Abs(dense.Objective)) {
-				t.Fatalf("trial %d: warm %v vs dense %v", trial, warm.Objective, dense.Objective)
+		wider := big.Clone()
+		wider.AddVar(1, 1)
+		for _, c := range []struct {
+			name string
+			m    *Model
+		}{{"truncated", small}, {"repriced", repriced}, {"wider", wider}} {
+			warm, err := c.m.ResolveFrom(solBig.Basis)
+			if err != nil {
+				t.Fatalf("trial %d %s: warm: %v", trial, c.name, err)
+			}
+			cold, err := c.m.Solve()
+			if err != nil {
+				t.Fatalf("trial %d %s: cold: %v", trial, c.name, err)
+			}
+			if c.m == repriced && seatsDualFeasible(repriced, solBig.Basis) {
+				feasible++
+				dense, err := repriced.SolveDense()
+				if err != nil {
+					t.Fatalf("trial %d: dense: %v", trial, err)
+				}
+				if warm.Status != dense.Status || warm.Status == Optimal &&
+					math.Abs(warm.Objective-dense.Objective) > 1e-6*(1+math.Abs(dense.Objective)) {
+					t.Fatalf("trial %d: dual-feasible warm %v %v vs dense %v %v",
+						trial, warm.Status, warm.Objective, dense.Status, dense.Objective)
+				}
+				continue
+			}
+			if d := solutionDiff(warm, cold); d != "" {
+				t.Fatalf("trial %d %s: warm differs from cold: %s", trial, c.name, d)
+			}
+			switch c.name {
+			case "truncated":
+				truncated++
+			case "repriced":
+				infeasible++
 			}
 		}
 	}
-	if exercised < 50 {
-		t.Fatalf("only %d truncated resolves exercised", exercised)
+	if truncated < 50 || infeasible < 50 || feasible < 50 {
+		t.Fatalf("only %d truncated, %d dual-infeasible and %d dual-feasible resolves exercised",
+			truncated, infeasible, feasible)
 	}
 }
 
@@ -296,21 +387,22 @@ func TestFingerprintSeparates(t *testing.T) {
 	if boundFlip.StructureFingerprint() == fp {
 		t.Error("changing bound finiteness kept the fingerprint")
 	}
-	// Value-only changes keep it: that is the homotopy class.
+	// Value-only changes keep it.
 	valueOnly := m.Clone()
 	valueOnly.rhs[0] = 17
-	valueOnly.obj[0] = -3
+	valueOnly.obj[0] = 3
 	if valueOnly.StructureFingerprint() != fp {
 		t.Error("value-only perturbation changed the fingerprint")
 	}
 }
 
-// TestChainedHomotopySweep mimics the sweep chain end to end at the lp
-// level: a family of jittered models solved in sequence, each warm
-// started from the previous optimum, every result held to the dense
-// oracle and to a cold solve's pivot count (the warm chain must not be
-// wildly worse; it usually is strictly better).
-func TestChainedHomotopySweep(t *testing.T) {
+// TestWarmChainSameStructure mimics the sweep's jitter chain end to end
+// at the lp level: a family of models with one structure and drifting
+// row constants solved in sequence, each warm started from the previous
+// optimum, every result held to the dense oracle and to a cold solve's
+// pivot count (the warm chain must not be wildly worse; it usually is
+// strictly better).
+func TestWarmChainSameStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	base := NewModel()
 	nv := 12
@@ -355,8 +447,8 @@ func TestChainedHomotopySweep(t *testing.T) {
 		coldPivots += cold.Pivots
 		basis = warm.Basis
 	}
-	t.Logf("chained homotopy pivots: warm %d vs cold %d", warmPivots, coldPivots)
+	t.Logf("warm chain pivots: warm %d vs cold %d", warmPivots, coldPivots)
 	if warmPivots > 2*coldPivots+nv {
-		t.Fatalf("warm chain pivoted %d times vs cold %d — homotopy is hurting", warmPivots, coldPivots)
+		t.Fatalf("warm chain pivoted %d times vs cold %d — the warm start is hurting", warmPivots, coldPivots)
 	}
 }

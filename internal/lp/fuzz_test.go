@@ -89,10 +89,10 @@ func FuzzLPSolve(f *testing.F) {
 			t.Fatalf("witness beats 'optimum': %v < %v", m.Value(xs), sp.Objective)
 		}
 
-		// Cross-instance homotopy: the optimal basis must warm start a
-		// structurally identical neighbour (all inequalities loosened, so
-		// the witness stays feasible) and a row-truncated one, matching
-		// the dense oracle on each.
+		// Warm starts: the optimal basis must re-solve a structurally
+		// identical neighbour (all inequalities loosened, so the witness
+		// stays feasible) and a row-truncated model (which solves cold),
+		// matching the dense oracle on each.
 		loose := 0.25 + float64(next()%8)/8
 		nb := m.Clone()
 		for i := 0; i < nb.NumConstraints(); i++ {

@@ -1,11 +1,19 @@
-// Package lp implements linear programming from scratch, twice over:
+// Package lp implements linear programming from scratch for one model
+// class: minimize c·x subject to sparse rows (≤, ≥ or =) and bounds
+// 0 ≤ x ≤ u, with every cost c_j ≥ 0. AddVar refuses a negative cost.
+// Every LP of the paper has this form (LP (1)–(3), weighted and
+// directed alike: each variable is a subsidy priced at 1 or a
+// multiplier priced at 0), and it makes the objective bounded below by 0
+// and every all-logical basis dual feasible. The package solves it
+// twice over:
 //
-//   - a sparse revised-simplex core (Solve / ResolveFrom) with a CSR
+//   - a sparse revised dual simplex (Solve / ResolveFrom) with a CSR
 //     constraint store, an LU + eta-file basis factorization, native
 //     variable bounds and first-class warm starts — Solve returns a
 //     reusable Basis, and AddRow followed by ResolveFrom re-solves from
 //     the dual-feasible incumbent, which is exactly the shape of the SNE
-//     row-generation loop (Theorem 1);
+//     row-generation loop (Theorem 1). A basis that cannot be seated
+//     dual feasible re-solves cold;
 //   - the original dense two-phase tableau, retained as SolveDense: the
 //     differential-test oracle every sparse result is held to.
 //
@@ -42,9 +50,9 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Model is a linear program: minimize obj·x subject to constraints, with
-// every variable bounded below by 0 and above by an optional finite upper
-// bound. (Lower bounds other than zero are not needed anywhere in this
+// Model is a linear program: minimize obj·x, obj ≥ 0, subject to
+// constraints, with every variable bounded below by 0 and above by an
+// optional finite upper bound. (Lower bounds other than zero are not needed anywhere in this
 // library — subsidies live in [0, w_a].)
 //
 // Constraints are stored append-only in compressed sparse row form: one
@@ -96,13 +104,14 @@ func (m *Model) Grow(nVars, nRows, nnz int) {
 }
 
 // AddVar appends a variable with the given objective coefficient and upper
-// bound (use math.Inf(1) for none) and returns its index. Finite bounds
+// bound (use math.Inf(1) for none) and returns its index. It panics on a
+// negative or NaN coefficient: the model class is c ≥ 0. Finite bounds
 // above 1e100 are normalized to +∞ at entry — they are pseudo-infinities
 // numerically (a bound step of that size overflows downstream
 // arithmetic), and normalizing here guarantees the sparse solver and the
 // dense oracle see the identical model.
 func (m *Model) AddVar(objCoef, ub float64) int {
-	if math.IsNaN(objCoef) || !validUpper(ub) {
+	if !(objCoef >= 0) || !validUpper(ub) {
 		panic(fmt.Sprintf("lp: invalid variable (obj=%v ub=%v)", objCoef, ub))
 	}
 	m.obj = append(m.obj, objCoef)
@@ -282,9 +291,9 @@ func (m *Model) Clone() *Model {
 // FNV-1a digest. Coefficient and RHS values are deliberately excluded:
 // two instances of one sweep family (same graph skeleton, perturbed
 // weights) share a fingerprint, and so do unrelated models of equal
-// shape: it names a size class, not a structure. Models with equal
-// fingerprints accept each other's bases without projection;
-// ResolveFrom additionally tolerates differing row blocks by projecting.
+// shape: it names a size class, not a structure. ResolveFrom seats a
+// basis of an equal fingerprint only when it stays dual feasible, and
+// solves cold otherwise.
 func (m *Model) StructureFingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -313,7 +322,8 @@ func (m *Model) StructureFingerprint() uint64 {
 // Status reports the outcome of a solve.
 type Status int
 
-// Solve outcomes.
+// Solve outcomes. The model class is bounded below by 0, so only the
+// dense oracle's code path can still report Unbounded.
 const (
 	Optimal Status = iota
 	Infeasible
@@ -340,8 +350,9 @@ type Solution struct {
 	Pivots    int       // simplex pivot count, for benchmarking
 
 	// Basis is the optimal basis of a sparse Solve/ResolveFrom (nil from
-	// SolveDense). Feed it back to ResolveFrom after AddRow to re-solve
-	// from the dual-feasible incumbent instead of from scratch.
+	// SolveDense). Feed it back to ResolveFrom after AddRow, or after new
+	// bounds and row constants on the same structure, to re-solve from
+	// the dual-feasible incumbent instead of from scratch.
 	Basis *Basis
 
 	// Duals holds the shadow price of each user constraint (in the

@@ -2,10 +2,10 @@ package lp
 
 import "math"
 
-// Pricing for the revised simplex: devex reference-framework weights
-// (Forrest–Goldfarb) with rotating-window partial pricing for both loops,
-// and the rank-one reduced-cost update that keeps the duals incremental
-// between refactorizations.
+// Pricing for the dual simplex: devex reference-framework weights
+// (Forrest–Goldfarb) or exact steepest-edge weights with rotating-window
+// partial pricing of the leaving row, and the rank-one reduced-cost
+// update that keeps the duals incremental between refactorizations.
 //
 // Devex approximates steepest-edge at a fraction of the cost: each
 // candidate's violation is scaled by a running estimate of its edge norm
@@ -14,16 +14,16 @@ import "math"
 // one is admissible, so every selection below stays exact about
 // optimality/feasibility; a drifted weight can only cost iterations.
 // Reference-framework reset rules (see DESIGN.md §7): weights reset to 1
-// when a phase starts and whenever the largest weight passes
+// when a solve starts and whenever the largest weight passes
 // devexWeightCap — past that, the reference basis is too far away for the
 // estimates to mean anything.
 //
-// Partial pricing scans a rotating window (an eighth of the candidates,
-// at least partialWindowMin) and settles for the best devex score in the
+// Partial pricing scans a rotating window (an eighth of the rows, at
+// least partialWindowMin) and settles for the best devex score in the
 // first non-empty window; only a full empty wrap declares the loop done.
-// Bland mode bypasses both devex and the windows: lowest eligible index,
-// full scan — the anti-cycling fallback must stay deterministic and
-// complete.
+// Bland mode bypasses both devex and the windows: a full scan for the
+// worst violation, and the ratio test breaks ties by lowest index — the
+// anti-cycling fallback must stay deterministic and complete.
 
 const (
 	// devexWeightCap triggers a reference-framework reset.
@@ -34,76 +34,10 @@ const (
 	partialWindowMin = 64
 )
 
-func (s *sparse) resetPrimalDevex() {
-	for j := range s.pw {
-		s.pw[j] = 1
-	}
-}
-
 func (s *sparse) resetDualDevex() {
 	for i := range s.dw {
 		s.dw[i] = 1
 	}
-}
-
-// primalViol returns the primal reduced-cost violation of a nonbasic
-// column (positive means entering improves the objective).
-func (s *sparse) primalViol(j int) float64 {
-	if s.status[j] == nbLower {
-		return -s.d[j]
-	}
-	return s.d[j]
-}
-
-// choosePrimalEntering picks the entering column for the primal simplex,
-// or -1 at optimality.
-func (s *sparse) choosePrimalEntering(bland bool) int {
-	if s.nc == 0 {
-		return -1
-	}
-	if bland {
-		for j := 0; j < s.nc; j++ {
-			if s.status[j] == inBasis || s.lo[j] == s.up[j] {
-				continue
-			}
-			if s.primalViol(j) > optTol {
-				return j
-			}
-		}
-		return -1
-	}
-	window := s.nc / 8
-	if window < partialWindowMin {
-		window = partialWindowMin
-	}
-	start := s.pstart % s.nc
-	scanned := 0
-	for scanned < s.nc {
-		best, bestScore := -1, 0.0
-		for w := 0; w < window && scanned < s.nc; w++ {
-			j := start
-			start++
-			if start == s.nc {
-				start = 0
-			}
-			scanned++
-			if s.status[j] == inBasis || s.lo[j] == s.up[j] {
-				continue
-			}
-			viol := s.primalViol(j)
-			if viol <= optTol {
-				continue
-			}
-			if score := viol * viol / s.pw[j]; score > bestScore {
-				best, bestScore = j, score
-			}
-		}
-		if best != -1 {
-			s.pstart = start
-			return best
-		}
-	}
-	return -1
 }
 
 // dualViol returns row i's bound violation and whether the basic value
@@ -201,36 +135,6 @@ func (s *sparse) updateDualsAfterPivot(q, lv int) {
 	}
 	s.d[q] = 0
 	s.d[lv] = -delta
-}
-
-// updatePrimalDevex folds a primal pivot (entering q, leaving variable
-// lv, pivot-row alphas in s.alpha with α_q = alphaQ) into the column
-// weights. Must run before replaceBasis.
-func (s *sparse) updatePrimalDevex(q, lv int, alphaQ float64) {
-	wref := s.pw[q]
-	aq2 := alphaQ * alphaQ
-	mx := 1.0
-	for j := 0; j < s.nc; j++ {
-		if j == q || s.status[j] == inBasis {
-			continue
-		}
-		a := s.alpha[j]
-		if a == 0 {
-			continue
-		}
-		if cand := a * a / aq2 * wref; cand > s.pw[j] {
-			s.pw[j] = cand
-		}
-		if s.pw[j] > mx {
-			mx = s.pw[j]
-		}
-	}
-	if w := math.Max(wref/aq2, 1); w > s.pw[lv] {
-		s.pw[lv] = w
-	}
-	if mx > devexWeightCap {
-		s.resetPrimalDevex()
-	}
 }
 
 // dseFloor keeps the steepest-edge recurrence's weights positive: exact

@@ -16,27 +16,29 @@ import (
 // basis inverse is never formed: a sparse Markowitz LU of the m×m basis
 // (m = user rows only; see sparselu.go) answers FTRAN/BTRAN at a cost
 // proportional to the factor nonzeros, with an eta file of product-form
-// updates between refactorizations. Pricing is devex with partial
-// pricing in both loops and Bland as the anti-cycling fallback
-// (pricing.go); reduced costs are maintained by rank-one updates and
-// recomputed from scratch at every refactorization.
+// updates between refactorizations. Pricing is devex (exact steepest
+// edge above dseMinRows) with partial pricing and Bland as the
+// anti-cycling fallback (pricing.go); reduced costs are maintained by
+// rank-one updates and recomputed from scratch at every
+// refactorization.
 //
-// Solve runs dual simplex from the all-logical basis under the shifted
-// cost ĉ = max(c,0) — always dual feasible — then primal simplex under
-// the true cost; when c ≥ 0 (every SNE model) the first phase is already
-// the whole solve. ResolveFrom restores a previous optimal Basis — from
-// this model (row generation) or from a structurally compatible *other*
-// model (cross-instance basis homotopy) — projects it onto the current
-// row set, repairs what a bound flip can repair, and re-solves with
-// whichever simplex the projected basis is feasible for. That is the
-// Theorem-1 row-generation loop, and the sweep-family warm-start chain,
-// in basis form.
+// There is one algorithm, the dual simplex, because the model class
+// makes every start dual feasible: costs are non-negative (AddVar
+// refuses c < 0), so the all-logical basis with every structural at its
+// lower bound prices out. Solve starts there. ResolveFrom seats a Basis
+// of the same model, perhaps taken before AddRow appended rows (each
+// appended row seats its own logical, which keeps the reduced costs),
+// or of a same-structure model with new bounds and row constants (the
+// reduced costs depend on neither). That is the Theorem-1
+// row-generation loop in basis form. A seated basis that is singular or
+// not dual feasible is not repaired: ResolveFrom solves cold instead.
 
 // hugeBound is the threshold beyond which an upper bound is treated as
 // +∞ (callers occasionally use 1e308 as a stand-in for "unbounded";
-// taken literally, a bound flip of that size would overflow the basic
-// values). Documented on AddVar — the dense oracle takes such bounds
-// literally, so genuinely finite bounds belong far below this.
+// taken literally, a column resting at a bound of that size would
+// overflow the basic values). Documented on AddVar — the dense oracle
+// takes such bounds literally, so genuinely finite bounds belong far
+// below this.
 const hugeBound = 1e100
 
 // refactorEvery bounds the eta file: after this many product-form
@@ -81,10 +83,9 @@ const (
 // Basis is a reusable snapshot of a revised-simplex basis: which column
 // (structural j < NumVars, logical NumVars+i for row i) is basic in each
 // row, and at which bound every nonbasic column rests. Solve attaches the
-// optimal basis to its Solution; ResolveFrom(basis) warm starts from it —
-// after AddRow on the same model (row generation), or on a different
-// model with the same variable block (cross-instance homotopy: nearby
-// sweep instances hand their optimal basis down the chain).
+// optimal basis to its Solution; ResolveFrom(basis) warm starts from it
+// on the same model after AddRow (row generation), or on a model of the
+// same structure with new bounds and row constants.
 type Basis struct {
 	nVars  int
 	nRows  int
@@ -92,11 +93,12 @@ type Basis struct {
 	basic  []int
 }
 
-// CompatibleWith reports whether ResolveFrom can warm start m from this
-// basis: the variable block must match — rows may differ in both number
-// and shape (they are projected).
+// CompatibleWith reports whether ResolveFrom can seat this basis on m:
+// the variable counts match and the basis has no more rows than m.
+// Seating can still fail (a singular or dual-infeasible basis); then
+// ResolveFrom solves cold.
 func (b *Basis) CompatibleWith(m *Model) bool {
-	return b != nil && b.nVars == m.NumVars()
+	return b != nil && b.nVars == m.NumVars() && b.nRows <= m.NumConstraints()
 }
 
 // eta is one product-form update: after a pivot on row r with entering
@@ -117,8 +119,7 @@ type sparse struct {
 	nc    int // n + mr columns
 
 	lo, up []float64 // per-column bounds
-	cost   []float64 // current phase's cost per column
-	real   []float64 // true cost per column
+	cost   []float64 // cost per column (logicals cost 0)
 
 	// CSC of the structural columns (logical columns are implicit e_i),
 	// aliasing the model's column copy.
@@ -146,9 +147,7 @@ type sparse struct {
 	wcol  []float64 // FTRAN scratch
 	rrow  []float64 // BTRAN scratch
 
-	pw     []float64 // primal devex weights per column
 	dw     []float64 // dual devex (or steepest-edge) weights per row
-	pstart int       // partial-pricing cursor (columns)
 	dstart int       // partial-pricing cursor (rows)
 
 	// dse switches the dual loop from devex to exact steepest-edge
@@ -157,24 +156,22 @@ type sparse struct {
 	dse bool
 	tau []float64
 
-	ltaken []bool // initFromBasis scratch
-
-	// warmSeated marks a basis projected from a snapshot (initFromBasis):
-	// run() then earns a cost-shifted dual phase-1 rung before giving up
-	// on the warm start.
-	warmSeated bool
-
 	pivots int
 }
 
-var errSingularBasis = errors.New("lp: singular basis")
+var (
+	errSingularBasis   = errors.New("lp: singular basis")
+	errNotDualFeasible = errors.New("lp: basis not dual feasible")
+)
 
-// warmRetryable reports whether a warm-started run died of a pathology a
-// cold restart cures (pivot-budget exhaustion, singular projected basis).
-// Matched with errors.Is, not ==, so a sentinel that picks up wrapping
-// context on its way out keeps triggering the retry.
+// warmRetryable reports whether a warm-started run died of something a
+// cold restart cures (pivot-budget exhaustion, a singular or
+// dual-infeasible seated basis). Matched with errors.Is, not ==, so a
+// sentinel that picks up wrapping context on its way out keeps
+// triggering the retry.
 func warmRetryable(err error) bool {
-	return errors.Is(err, ErrIterationLimit) || errors.Is(err, errSingularBasis)
+	return errors.Is(err, ErrIterationLimit) || errors.Is(err, errSingularBasis) ||
+		errors.Is(err, errNotDualFeasible)
 }
 
 // sparsePool recycles solver states across solves: the slices (including
@@ -215,7 +212,6 @@ func (s *sparse) init(m *Model) {
 	s.lo = grown(s.lo, n+mr)
 	s.up = grown(s.up, n+mr)
 	s.cost = grown(s.cost, n+mr)
-	s.real = grown(s.real, n+mr)
 	s.status = grown(s.status, n+mr)
 	s.basic = grown(s.basic, mr)
 	s.xB = grown(s.xB, mr)
@@ -224,25 +220,23 @@ func (s *sparse) init(m *Model) {
 	s.alpha = grown(s.alpha, n+mr)
 	s.wcol = grown(s.wcol, mr)
 	s.rrow = grown(s.rrow, mr)
-	s.pw = grown(s.pw, n+mr)
 	s.dw = grown(s.dw, mr)
 	s.dse = mr >= dseMinRows
 	s.tau = grown(s.tau, mr)
 	s.etas = s.etas[:0]
 	s.needRefactor = false
-	s.pstart, s.dstart, s.pivots = 0, 0, 0
-	s.warmSeated = false
+	s.dstart, s.pivots = 0, 0
 	for j := 0; j < n; j++ {
 		s.lo[j] = 0
 		s.up[j] = m.ub[j]
 		if s.up[j] > hugeBound {
 			s.up[j] = math.Inf(1)
 		}
-		s.real[j] = m.obj[j]
+		s.cost[j] = m.obj[j]
 	}
 	for i := 0; i < mr; i++ {
 		c := n + i
-		s.real[c] = 0 // logical columns are costless (must not leak a pooled value)
+		s.cost[c] = 0 // logical columns are costless (must not leak a pooled value)
 		switch m.ops[i] {
 		case LE:
 			s.lo[c], s.up[c] = 0, math.Inf(1)
@@ -258,16 +252,12 @@ func (s *sparse) init(m *Model) {
 	s.colStart, s.colRow, s.colVal = m.colStart, m.colRow, m.colVal
 }
 
-// initFresh seats the all-logical basis: every row's logical is basic,
-// structurals rest at the bound their cost prefers (a variable that wants
-// to grow and can — negative cost, finite upper bound — starts there).
+// initFresh seats the all-logical basis: every row's logical is basic
+// and every structural rests at its lower bound 0, where its
+// non-negative cost prices it out.
 func (s *sparse) initFresh() {
 	for j := 0; j < s.n; j++ {
-		if s.real[j] < 0 && !math.IsInf(s.up[j], 1) {
-			s.status[j] = nbUpper
-		} else {
-			s.status[j] = nbLower
-		}
+		s.status[j] = nbLower
 	}
 	for i := 0; i < s.mr; i++ {
 		s.basic[i] = s.n + i
@@ -283,73 +273,20 @@ func logicalRest(op Op) int8 {
 	return nbLower // LE: [0, ∞); EQ: [0, 0]
 }
 
-// initFromBasis projects a snapshot onto the current model. The variable
-// blocks match (checked by CompatibleWith before this is called); rows
-// need not:
-//
-//   - rows beyond the snapshot (row generation added them) seat their own
-//     logical, which preserves dual feasibility — the extended basis is
-//     block triangular with an identity block;
-//   - snapshot rows beyond the model (homotopy from a larger instance)
-//     are dropped, and any row left without a basic column — its basic
-//     column belonged only to a dropped row — takes a free logical;
-//   - a nonbasic column resting at a bound the current model makes
-//     infinite is moved to its finite bound.
-//
-// The projection is total: any structural mismatch degrades into a basis
-// the simplex can still start from, and a numerically singular projection
-// is caught by factorize (ResolveFrom then falls back to a cold solve).
+// initFromBasis seats a snapshot on the current model. CompatibleWith
+// has checked that the variable counts match and that the snapshot has
+// no more rows than the model. Rows beyond the snapshot (AddRow appended
+// them) seat their own logical: the extended basis is block triangular
+// with an identity block, so the reduced costs, and with them dual
+// feasibility, carry over. A nonbasic column resting at a bound the model
+// makes infinite moves to its lower bound; run then finds out whether the
+// seated basis is still dual feasible.
 func (s *sparse) initFromBasis(bs *Basis) {
 	n := s.n
-	keep := bs.nRows
-	if keep > s.mr {
-		keep = s.mr
-	}
-	s.ltaken = grown(s.ltaken, s.mr)
-	logicalTaken := s.ltaken
-	for i := range logicalTaken {
-		logicalTaken[i] = false
-	}
-	for i := range s.basic {
-		s.basic[i] = -1
-	}
-	for i := 0; i < keep; i++ {
-		b := bs.basic[i]
-		if b >= bs.nVars {
-			t := b - bs.nVars
-			if t >= s.mr {
-				continue // logical of a dropped row: reseat below
-			}
-			b = n + t
-			logicalTaken[t] = true
-		}
-		s.basic[i] = b
-	}
-	for i := keep; i < s.mr; i++ {
-		// Fresh rows: own logical. Never taken by a kept row — snapshot
-		// logicals are bounded by the snapshot's (smaller) row count.
+	copy(s.basic, bs.basic)
+	for i := bs.nRows; i < s.mr; i++ {
 		s.basic[i] = n + i
-		logicalTaken[i] = true
 	}
-	free := 0
-	for i := 0; i < s.mr; i++ {
-		if s.basic[i] != -1 {
-			continue
-		}
-		if !logicalTaken[i] {
-			s.basic[i] = n + i
-			logicalTaken[i] = true
-			continue
-		}
-		for logicalTaken[free] {
-			free++ // always terminates: one column per row, mr logicals
-		}
-		s.basic[i] = n + free
-		logicalTaken[free] = true
-	}
-	// Statuses: structural nonbasic columns keep their snapshot bound
-	// where finite; logicals rest at their op's finite bound; everything
-	// seated above is basic.
 	for j := 0; j < n; j++ {
 		st := bs.status[j]
 		if st == inBasis || (st == nbUpper && math.IsInf(s.up[j], 1)) {
@@ -363,7 +300,6 @@ func (s *sparse) initFromBasis(bs *Basis) {
 	for _, b := range s.basic {
 		s.status[b] = inBasis
 	}
-	s.warmSeated = true
 }
 
 func (s *sparse) snapshot() *Basis {
@@ -631,18 +567,14 @@ func (s *sparse) residualOK() bool {
 	return true
 }
 
-// dualSimplex repairs primal feasibility while keeping dual feasibility,
-// under the current cost vector. It returns Optimal when every basic
-// value sits within its bounds, Infeasible when a violated row admits no
-// entering column (dual unbounded ⇒ primal empty). dualsFresh reports
-// that y and d were just computed from the current basis, factors and
-// cost vector, so the opening recompute would reproduce them bit for bit.
-func (s *sparse) dualSimplex(dualsFresh bool) (Status, error) {
+// dualSimplex repairs primal feasibility while keeping dual feasibility.
+// It returns Optimal when every basic value sits within its bounds,
+// Infeasible when a violated row admits no entering column (dual
+// unbounded ⇒ primal empty). The caller has just computed y and d from
+// the current basis and factors.
+func (s *sparse) dualSimplex() (Status, error) {
 	degenerate := 0
 	s.resetDualDevex()
-	if !dualsFresh {
-		s.computeDuals()
-	}
 	fresh := true
 	for {
 		refactored, err := s.refresh(false)
@@ -794,152 +726,6 @@ func (s *sparse) dualSimplex(dualsFresh bool) (Status, error) {
 	}
 }
 
-// primalSimplex improves the current cost from a primal-feasible basis.
-// It returns Optimal or Unbounded. dualsFresh is as for dualSimplex.
-func (s *sparse) primalSimplex(dualsFresh bool) (Status, error) {
-	degenerate := 0
-	s.resetPrimalDevex()
-	if !dualsFresh {
-		s.computeDuals()
-	}
-	fresh := true
-	for {
-		refactored, err := s.refresh(false)
-		if err != nil {
-			return 0, err
-		}
-		if refactored {
-			s.computeDuals()
-			fresh = true
-		}
-		bland := degenerate > 2*s.mr+20
-		if bland && !fresh {
-			s.computeDuals()
-			fresh = true
-		}
-		enter := s.choosePrimalEntering(bland)
-		if enter == -1 {
-			if fresh && s.updates() == 0 {
-				return Optimal, nil
-			}
-			// Confirm optimality. The entering scan reads incrementally
-			// maintained reduced costs: recompute those from the current
-			// factors and re-scan, skipping the full refactorization when
-			// the update chain is short and the basic values pass a direct
-			// residual check.
-			if s.updates() <= confirmSkipMax && s.residualOK() {
-				s.computeDuals()
-				fresh = true
-			} else {
-				if _, err := s.refresh(true); err != nil {
-					return 0, err
-				}
-				s.computeDuals()
-				fresh = true
-			}
-			if enter = s.choosePrimalEntering(bland); enter == -1 {
-				return Optimal, nil
-			}
-		}
-		s.ftranColumn(enter)
-		sigma := 1.0
-		if s.status[enter] == nbUpper {
-			sigma = -1
-		}
-		// Ratio test: the entering variable moves by t ≥ 0 in direction
-		// sigma; each basic value moves by −t·sigma·w_i until one hits a
-		// bound, or the entering variable flips to its other bound.
-		t := s.up[enter] - s.lo[enter]
-		leave, leaveStatus := -1, nbLower
-		for i := 0; i < s.mr; i++ {
-			a := sigma * s.wcol[i]
-			b := s.basic[i]
-			var ratio float64
-			var hit int8
-			if a > pivotTol {
-				if math.IsInf(s.lo[b], -1) {
-					continue
-				}
-				ratio, hit = (s.xB[i]-s.lo[b])/a, nbLower
-			} else if a < -pivotTol {
-				if math.IsInf(s.up[b], 1) {
-					continue
-				}
-				ratio, hit = (s.up[b]-s.xB[i])/(-a), nbUpper
-			} else {
-				continue
-			}
-			if ratio < 0 {
-				ratio = 0 // feasibility round-off
-			}
-			better := ratio < t-pivotTol
-			if !better && ratio < t+pivotTol && leave != -1 {
-				if bland {
-					better = s.basic[i] < s.basic[leave]
-				} else {
-					better = math.Abs(a) > math.Abs(sigma*s.wcol[leave])
-				}
-			}
-			if better {
-				t, leave, leaveStatus = ratio, i, hit
-			}
-		}
-		if math.IsInf(t, 1) {
-			return Unbounded, nil
-		}
-		dx := sigma * t
-		for i := range s.xB {
-			if w := s.wcol[i]; w != 0 {
-				s.xB[i] -= dx * w
-			}
-		}
-		if leave == -1 {
-			// Bound flip: the entering variable crosses to its other
-			// bound without a basis change (reduced costs unchanged).
-			if s.status[enter] == nbLower {
-				s.status[enter] = nbUpper
-			} else {
-				s.status[enter] = nbLower
-			}
-			s.pivots++
-		} else {
-			lv := s.basic[leave]
-			// Pivot row for the incremental dual update and the devex
-			// reference weights.
-			for i := range s.rrow {
-				s.rrow[i] = 0
-			}
-			s.rrow[leave] = 1
-			s.btran(s.rrow)
-			s.pivotRowAlphas()
-			updated := false
-			if alphaQ := s.alpha[enter]; math.Abs(alphaQ) >= pivotTol {
-				s.updateDualsAfterPivot(enter, lv)
-				s.updatePrimalDevex(enter, lv, alphaQ)
-				updated = true
-			}
-			enterVal := s.boundVal(enter) + dx
-			s.replaceBasis(leave, enter, enterVal, leaveStatus)
-			if updated {
-				fresh = false
-			} else {
-				// The pivot-row estimate of α_q decayed; re-anchor the
-				// duals on the post-pivot basis instead of updating.
-				s.computeDuals()
-				fresh = true
-			}
-		}
-		if t < pivotTol {
-			degenerate++
-		} else {
-			degenerate = 0
-		}
-		if s.pivots > s.maxPivots() {
-			return 0, ErrIterationLimit
-		}
-	}
-}
-
 // dualFeasible reports whether the current reduced costs satisfy the
 // bounded-variable dual feasibility conditions.
 func (s *sparse) dualFeasible() bool {
@@ -953,46 +739,6 @@ func (s *sparse) dualFeasible() bool {
 			if s.lo[j] != s.up[j] && s.d[j] > optTol {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// flipToDualFeasible repairs dual infeasibility without pivoting: a
-// nonbasic column whose reduced cost prefers its other bound flips there
-// when that bound is finite. The basis (and therefore y and d) is
-// unchanged, so the repair is exact; it reports whether anything moved
-// (the basic values must then be recomputed). Columns whose preferred
-// bound is infinite stay put — those need a phase-1, not a flip.
-func (s *sparse) flipToDualFeasible() bool {
-	flipped := false
-	for j := 0; j < s.nc; j++ {
-		if s.lo[j] == s.up[j] {
-			continue
-		}
-		switch s.status[j] {
-		case nbLower:
-			if s.d[j] < -optTol && !math.IsInf(s.up[j], 1) {
-				s.status[j] = nbUpper
-				flipped = true
-			}
-		case nbUpper:
-			if s.d[j] > optTol && !math.IsInf(s.lo[j], -1) {
-				s.status[j] = nbLower
-				flipped = true
-			}
-		}
-	}
-	return flipped
-}
-
-// primalFeasibleNow reports whether every basic value sits within its
-// bounds (same tolerance as the dual simplex's violation scan).
-func (s *sparse) primalFeasibleNow() bool {
-	for i, b := range s.basic {
-		if s.xB[i] < s.lo[b]-FeasTol*(1+math.Abs(s.lo[b])) ||
-			s.xB[i] > s.up[b]+FeasTol*(1+math.Abs(s.up[b])) {
-			return false
 		}
 	}
 	return true
@@ -1037,114 +783,24 @@ func (s *sparse) solution() *Solution {
 	return sol
 }
 
-// run drives the phases from the current (already seated) basis. The
-// warm-start ladder: dual simplex when the basis is dual feasible (after
-// free bound-flip repairs), primal simplex when it is at least primal
-// feasible, and only then the cold two-phase from the all-logical basis.
+// run factorizes the seated basis and, when it is dual feasible, runs
+// the dual simplex from it. A basis that is not dual feasible is refused
+// with errNotDualFeasible; a cold start never is, since its reduced
+// costs are the non-negative costs themselves.
 func (s *sparse) run() (*Solution, error) {
 	if _, err := s.refresh(true); err != nil {
 		return nil, err
 	}
-	copy(s.cost, s.real)
 	s.computeDuals()
-	if !s.dualFeasible() && s.flipToDualFeasible() {
-		s.computeXB() // flipped columns rest at new values
+	if !s.dualFeasible() {
+		return nil, errNotDualFeasible
 	}
-	// Bound flips move no basic column and no cost, so the duals just
-	// computed stay exact for whichever of the first two rungs runs.
-	if s.dualFeasible() {
-		st, err := s.dualSimplex(true)
-		if err != nil {
-			return nil, err
-		}
-		if st == Infeasible {
-			return &Solution{Status: Infeasible, Pivots: s.pivots}, nil
-		}
-		s.computeDuals()
-		return s.solution(), nil
-	}
-	if s.primalFeasibleNow() {
-		// Homotopy middle rung: a projected foreign basis often lands
-		// primal feasible but not dual feasible — the primal simplex
-		// finishes from it without discarding the warm start.
-		st, err := s.primalSimplex(true)
-		if err != nil {
-			return nil, err
-		}
-		if st == Unbounded {
-			return &Solution{Status: Unbounded, Pivots: s.pivots}, nil
-		}
-		s.computeDuals()
-		return s.solution(), nil
-	}
-	if s.warmSeated {
-		// Homotopy bottom rung: the projected basis is neither dual nor
-		// primal feasible — the typical landing spot when a nearby
-		// instance perturbs both the geometry and the prices. Shift each
-		// offending nonbasic cost by exactly its reduced cost: the basis
-		// becomes dual feasible *by construction* under the shifted
-		// objective (y depends only on basic costs, which are untouched),
-		// the dual simplex then repairs primal feasibility from the warm
-		// basis — for a genuinely nearby instance that is a handful of
-		// pivots — and the primal simplex finishes under the true costs.
-		// An Infeasible verdict here is real: primal feasibility does not
-		// depend on the objective.
-		for j := 0; j < s.nc; j++ {
-			if s.status[j] == inBasis || s.lo[j] == s.up[j] {
-				continue
-			}
-			if s.status[j] == nbLower && s.d[j] < 0 {
-				s.cost[j] -= s.d[j]
-			} else if s.status[j] == nbUpper && s.d[j] > 0 {
-				s.cost[j] -= s.d[j]
-			}
-		}
-		st, err := s.dualSimplex(false)
-		if err != nil {
-			return nil, err
-		}
-		if st == Infeasible {
-			return &Solution{Status: Infeasible, Pivots: s.pivots}, nil
-		}
-		copy(s.cost, s.real)
-		st, err = s.primalSimplex(false)
-		if err != nil {
-			return nil, err
-		}
-		if st == Unbounded {
-			return &Solution{Status: Unbounded, Pivots: s.pivots}, nil
-		}
-		s.computeDuals()
-		return s.solution(), nil
-	}
-	// Two-phase from a fresh all-logical basis: dual simplex under the
-	// shifted cost ĉ = max(c,0) (dual feasible by construction) reaches a
-	// primal-feasible basis or proves infeasibility; then the primal
-	// simplex finishes under the true cost.
-	s.initFresh()
-	if _, err := s.refresh(true); err != nil {
-		return nil, err
-	}
-	for j := 0; j < s.nc; j++ {
-		s.cost[j] = s.real[j]
-		if s.cost[j] < 0 {
-			s.cost[j] = 0
-		}
-	}
-	st, err := s.dualSimplex(false)
+	st, err := s.dualSimplex()
 	if err != nil {
 		return nil, err
 	}
 	if st == Infeasible {
 		return &Solution{Status: Infeasible, Pivots: s.pivots}, nil
-	}
-	copy(s.cost, s.real)
-	st, err = s.primalSimplex(false)
-	if err != nil {
-		return nil, err
-	}
-	if st == Unbounded {
-		return &Solution{Status: Unbounded, Pivots: s.pivots}, nil
 	}
 	s.computeDuals()
 	return s.solution(), nil
@@ -1159,14 +815,13 @@ func (m *Model) Solve() (*Solution, error) {
 	return s.run()
 }
 
-// ResolveFrom re-solves the model starting from a Basis captured by an
-// earlier Solve/ResolveFrom — on this model before AddRow appended
-// violated constraints (row generation), or on a different, structurally
-// compatible model (cross-instance basis homotopy: nearby sweep
-// instances chain warm starts instead of cold-solving each one). The
-// snapshot is projected onto the current row set and the solve starts
-// from whichever simplex the projection is feasible for. A nil,
-// incompatible or unusable basis falls back to a cold Solve.
+// ResolveFrom re-solves the model with the dual simplex from a Basis
+// captured by an earlier Solve/ResolveFrom: of this model before AddRow
+// appended violated constraints (row generation), or of a model with the
+// same structure and new bounds or row constants. Every appended row
+// seats its own logical. A nil basis, one with the wrong variable count
+// or more rows than the model, and one that seats singular or not dual
+// feasible all give the cold Solve's answer, pivot count included.
 func (m *Model) ResolveFrom(bs *Basis) (*Solution, error) {
 	if !bs.CompatibleWith(m) {
 		return m.Solve()
@@ -1176,7 +831,8 @@ func (m *Model) ResolveFrom(bs *Basis) (*Solution, error) {
 	s.initFromBasis(bs)
 	sol, err := s.run()
 	if warmRetryable(err) {
-		// A degenerate or numerically decayed warm basis: retry cold
+		// A basis the dual simplex cannot start from, or one that ran
+		// into a degenerate or numerically decayed pivot path: retry cold
 		// rather than surfacing a pathology the caller cannot act on.
 		return m.Solve()
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // randomModel builds a random LP mixing ops, finite/infinite bounds and
-// signed costs — the differential workload holding the sparse revised
-// simplex to the dense tableau oracle.
+// costs c ∈ [0,3), the model class — the differential workload holding
+// the sparse revised simplex to the dense tableau oracle.
 func randomModel(rng *rand.Rand) *Model {
 	m := NewModel()
 	nv := 1 + rng.Intn(7)
@@ -19,7 +19,7 @@ func randomModel(rng *rand.Rand) *Model {
 		if rng.Intn(2) == 0 {
 			ub = 0.5 + rng.Float64()*5
 		}
-		m.AddVar(rng.Float64()*6-3, ub)
+		m.AddVar(rng.Float64()*3, ub)
 	}
 	nc := rng.Intn(8)
 	for k := 0; k < nc; k++ {
@@ -203,7 +203,7 @@ func TestColumnCopyInvalidation(t *testing.T) {
 		{"AddRow", func(m *Model) {
 			m.AddRow([]int{0, m.NumVars() - 1}, []float64{1, 2}, GE, 1)
 		}},
-		{"AddVar", func(m *Model) { m.AddVar(-1, 3) }},
+		{"AddVar", func(m *Model) { m.AddVar(1, 3) }},
 		{"AddVar+AddRow", func(m *Model) {
 			j := m.AddVar(1, 3)
 			m.AddRow([]int{j, 0}, []float64{1, 1}, GE, 2)
@@ -295,21 +295,12 @@ func TestWarmStartInfeasibleRows(t *testing.T) {
 // both solvers, pinning the pair together beyond the random sweep.
 func TestDenseMatchesSparseOnSuite(t *testing.T) {
 	builders := map[string]func() *Model{
-		"beale": func() *Model {
+		"beale-dual": func() *Model { return bealeDual(1) },
+		"bounded-binding": func() *Model {
 			m := NewModel()
-			x1 := m.AddVar(-0.75, math.Inf(1))
-			x2 := m.AddVar(150, math.Inf(1))
-			x3 := m.AddVar(-0.02, math.Inf(1))
-			x4 := m.AddVar(6, math.Inf(1))
-			m.AddConstraint(map[int]float64{x1: 0.25, x2: -60, x3: -0.04, x4: 9}, LE, 0)
-			m.AddConstraint(map[int]float64{x1: 0.5, x2: -90, x3: -0.02, x4: 3}, LE, 0)
-			m.AddConstraint(map[int]float64{x3: 1}, LE, 1)
-			return m
-		},
-		"bounded-negative": func() *Model {
-			m := NewModel()
-			m.AddVar(-1, 1.5)
-			m.AddVar(-1, 2.5)
+			x := m.AddVar(1, 1.5)
+			y := m.AddVar(2, 2.5)
+			m.AddConstraint(map[int]float64{x: 1, y: 1}, GE, 3.5)
 			return m
 		},
 		"negated-row": func() *Model {

@@ -16,8 +16,10 @@ func TestWarmRetryableWrappedSentinels(t *testing.T) {
 	}{
 		{ErrIterationLimit, true},
 		{errSingularBasis, true},
+		{errNotDualFeasible, true},
 		{fmt.Errorf("lp: dual phase: %w", ErrIterationLimit), true},
-		{fmt.Errorf("lp: projecting basis: %w", errSingularBasis), true},
+		{fmt.Errorf("lp: seating basis: %w", errSingularBasis), true},
+		{fmt.Errorf("lp: seating basis: %w", errNotDualFeasible), true},
 		{fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", ErrIterationLimit)), true},
 		{nil, false},
 		{fmt.Errorf("lp: unrelated failure"), false},

@@ -7,8 +7,8 @@
 // request draws a pooled LP (3) chain (sne.BroadcastLPChain), and when
 // the instance has exactly the structure that chain solved last, the
 // chain patches its model and re-solves from its own optimal basis by
-// lp.ResolveFrom homotopy — a few dual pivots instead of a cold
-// two-phase simplex. Any other instance solves cold.
+// lp.ResolveFrom — a few dual pivots instead of a cold solve. Any other
+// instance solves cold.
 //
 // Operationally the server is a long-lived process. Every solve route,
 // /v1 and /v2 alike, runs through one request envelope: an inflight
@@ -530,11 +530,24 @@ type sndRequest struct {
 	TreeLimit int     `json:"treelimit,omitempty"`
 }
 
+// maxTreeLimit caps the spanning trees an exact SND request may ask the
+// server to enumerate, and is the limit a request without one gets (the
+// cmd/snd default). snd.SolveExact holds every enumerated tree in memory
+// before solving any, so the cap bounds a request's memory; coreSND
+// refuses a treelimit above it, or below 0 (which SolveExact reads as
+// unlimited), before any enumeration starts. DESIGN §9.
+const maxTreeLimit = 200000
+
 // coreSND answers budgeted STABLE NETWORK DESIGN, mirroring cmd/snd:
 // exact enumeration on request, otherwise the MST+LP heuristic with the
 // Theorem-6 fallback (snd.HeuristicAuto — errors.Is on the wrapped
-// sentinel). A zero treeLimit means the cmd/snd default of 200000.
+// sentinel). A zero treeLimit means maxTreeLimit; one outside
+// [0, maxTreeLimit] is refused with 422.
 func (s *Server) coreSND(inst *instancefile.Instance, budget float64, exact bool, treeLimit int, resp *sndResponse) *apiError {
+	if treeLimit < 0 || treeLimit > maxTreeLimit {
+		return &apiError{http.StatusUnprocessableEntity,
+			fmt.Sprintf("treelimit %d outside [0, %d]: the server enumerates at most %d spanning trees", treeLimit, maxTreeLimit, maxTreeLimit)}
+	}
 	bg := inst.Game
 	var res *snd.Result
 	var err error
@@ -543,7 +556,7 @@ func (s *Server) coreSND(inst *instancefile.Instance, budget float64, exact bool
 	if exact {
 		limit := treeLimit
 		if limit == 0 {
-			limit = 200000
+			limit = maxTreeLimit
 		}
 		res, err = snd.SolveExact(bg, budget, limit)
 	} else {

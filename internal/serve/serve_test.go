@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"netdesign/internal/broadcast"
 	"netdesign/internal/graph"
 	"netdesign/internal/instancefile"
+	"netdesign/internal/serve/wire"
 	"netdesign/internal/snd"
 	"netdesign/internal/sne"
 	"netdesign/internal/subsidy"
@@ -38,7 +40,7 @@ func instanceText(t testing.TB, bg *broadcast.Game, tree []int) string {
 // jitterFamily builds an E22-style nearby-instance stream: one base
 // graph, each instance scaling every non-MST edge upward — the MST (and
 // therefore the LP structure) provably never changes, so a
-// warm server resolves the whole stream by basis homotopy.
+// warm server re-solves the whole stream from the previous basis.
 func jitterFamily(t testing.TB, n, count int, seed int64, jitter float64) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -257,8 +259,8 @@ func TestSNEDifferentialColdMatchesCLI(t *testing.T) {
 // served path must be bit-identical to driving a sne.BroadcastLPChain by
 // hand — the server adds routing and pooling around the chain, never
 // numerics. And the warm cost must agree
-// with the cold optimum to LP tolerance (the homotopy changes the pivot
-// path, not the optimum).
+// with the cold optimum to LP tolerance (the warm start changes the
+// pivot path, not the optimum).
 func TestSNEDifferentialWarmMatchesChain(t *testing.T) {
 	family := jitterFamily(t, 20, 8, 7, 0.2)
 	_, ts := newTestServer(t, Config{})
@@ -269,7 +271,7 @@ func TestSNEDifferentialWarmMatchesChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := chain.Solve(st) // the hand-driven warm reference
+		ref, _, err := chain.SolveNearby(st) // the hand-driven warm reference
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,6 +348,49 @@ func TestSNDDifferentialMatchesCLI(t *testing.T) {
 	e := decode[map[string]string](t, raw)
 	if e["error"] != snd.ErrBudgetInfeasible.Error() {
 		t.Fatalf("infeasible error %q, want %q", e["error"], snd.ErrBudgetInfeasible)
+	}
+}
+
+// TestSNDTreeLimitCap: a tree limit outside [0, maxTreeLimit] gets a 422
+// naming the cap on /v1 and /v2, before any enumeration starts. Three
+// requests: cycle5 at 10^6 (5 trees, so an uncapped server answers it
+// with 200, which is what a missing cap shows as), the unlimited −1 and
+// K12 at 10^9. K12 has 12^10 spanning trees; an admitted K12 request
+// would not return, since exact SND holds every tree in memory.
+func TestSNDTreeLimitCap(t *testing.T) {
+	var k12 strings.Builder
+	k12.WriteString("nodes 12\n")
+	for u := 0; u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			fmt.Fprintf(&k12, "edge %d %d %d\n", u, v, 1+(u+v)%4)
+		}
+	}
+	k12.WriteString("root 0\n")
+	_, tsJSON := newTestServer(t, Config{})
+	_, tsBin := newTestServer(t, Config{})
+	limitCap := strconv.Itoa(maxTreeLimit)
+	for _, c := range []struct {
+		name, inst string
+		limit      int
+	}{
+		{"cycle5 past the cap", cycle5, 1000000},
+		{"K12 unlimited", k12.String(), -1},
+		{"K12", k12.String(), 1000000000},
+	} {
+		resp, raw := post(t, tsJSON, "/v1/snd", map[string]any{"instance": c.inst, "budget": 1.0, "exact": true, "treelimit": c.limit})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("/v1 %s: status %d: %s", c.name, resp.StatusCode, raw)
+		}
+		if e := decode[map[string]string](t, raw); !strings.Contains(e["error"], limitCap) {
+			t.Fatalf("/v1 %s: error %q does not name the cap %s", c.name, e["error"], limitCap)
+		}
+		code, status, _, msg := postBin(t, tsBin, "/v2/snd", wire.AppendSNDRequest(nil, parse(t, c.inst), 1.0, true, c.limit))
+		if code != http.StatusUnprocessableEntity || status != wire.StatusUnprocessable {
+			t.Fatalf("/v2 %s: %d/%d %q", c.name, code, status, msg)
+		}
+		if !strings.Contains(msg, limitCap) {
+			t.Fatalf("/v2 %s: error %q does not name the cap %s", c.name, msg, limitCap)
+		}
 	}
 }
 

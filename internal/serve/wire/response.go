@@ -44,7 +44,7 @@ type SNEResponse struct {
 	Fraction   float64       `json:"fraction"` // of wgt(T); Theorem 6 caps the optimum at 1/e
 	TreeWeight float64       `json:"treeWeight"`
 	Pivots     int           `json:"pivots,omitempty"`
-	Warm       bool          `json:"warm"` // solved by basis homotopy off the cache
+	Warm       bool          `json:"warm"` // re-solved from the chain's basis of the same structure
 	Subsidies  []EdgeSubsidy `json:"subsidies"`
 }
 

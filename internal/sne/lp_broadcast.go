@@ -200,10 +200,10 @@ func (bl *broadcastLP) subsidy(g interface{ Weight(int) float64 }, x []float64, 
 
 // BroadcastLPChain is the LP (3) solver. It owns the LP build workspace
 // (model arenas included) and hands each instance's optimal basis to the
-// next solve, which is the whole point on a nearby-instance family —
-// identical structure means the projected basis is a few dual pivots
-// from the new optimum, and the reused workspace means the model
-// rebuild allocates nothing. Every LP (3) entry point of this package
+// next solve of the same structure, which is the whole point on a
+// nearby-instance family — identical structure means the basis is a
+// few dual pivots from the new optimum, and the reused workspace means
+// the model rebuild allocates nothing. Every LP (3) entry point of this package
 // runs on one: the one-shot solvers draw a chain from a pool and solve
 // cold. Not safe for concurrent use: one chain per worker. The zero
 // chain solves α = 1.
@@ -266,15 +266,6 @@ func NewBroadcastLPChain() *BroadcastLPChain { return &BroadcastLPChain{} }
 // first solve).
 func (c *BroadcastLPChain) Basis() *lp.Basis { return c.basis }
 
-// Solve computes the LP (3) optimum of st warm-started from the chain's
-// incumbent basis, and advances the chain. The result is identical to
-// SolveBroadcastLP up to pivot path.
-func (c *BroadcastLPChain) Solve(st *broadcast.State) (*Result, error) {
-	c.Prepare(st)
-	res, _, err := c.SolvePrepared(st, c.basis)
-	return res, err
-}
-
 // Prepare builds the LP (3) of st into the chain's workspace — without
 // solving — and returns the model's shape-only structure fingerprint
 // (lp.Model.StructureFingerprint; unrelated structures of equal size
@@ -320,7 +311,7 @@ func (c *BroadcastLPChain) SolveNearby(st *broadcast.State) (*Result, bool, erro
 
 // SolvePrepared solves the LP built by the immediately preceding Prepare,
 // warm-starting from warm when it is compatible with the prepared model
-// (cold otherwise — lp.ResolveFrom's own projection fallback still
+// (cold otherwise — lp.ResolveFrom's own cold fallback still
 // applies on top), verifies the assignment and advances the chain. The
 // returned flag reports whether the warm basis was actually attempted:
 // the warm-vs-cold solve counters a server exports come from it.

@@ -270,7 +270,8 @@ func TestChainRebuildsOnStructureChange(t *testing.T) {
 
 // TestChainSolveNearby walks a jitter family through SolveNearby: the
 // first member solves cold, every later one warm from the previous
-// member's basis, bit-identical to Solve on a second chain. A state
+// member's basis, bit-identical to a second chain driven by hand through
+// Prepare and SolvePrepared from its own basis. A state
 // with the same shape fingerprint but another variable order (reversed
 // tree edges) must then solve cold, bit-identical to SolveBroadcastLP.
 func TestChainSolveNearby(t *testing.T) {
@@ -284,7 +285,8 @@ func TestChainSolveNearby(t *testing.T) {
 		if warm != (i > 0) {
 			t.Fatalf("member %d: warm %v, want %v", i, warm, i > 0)
 		}
-		want, err := ref.Solve(st)
+		ref.Prepare(st)
+		want, _, err := ref.SolvePrepared(st, ref.Basis())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestNearTieAnswersVerify(t *testing.T) {
 		if err := VerifyBroadcast(st, res.Subsidy); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		chained, err := NewBroadcastLPChain().Solve(st)
+		chained, _, err := NewBroadcastLPChain().SolveNearby(st)
 		if err != nil {
 			t.Fatalf("%s: chain: %v", path, err)
 		}

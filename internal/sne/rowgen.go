@@ -31,12 +31,12 @@ func SolveRowGeneration(st *game.State, maxIters int) (*Result, error) {
 	return SolveRowGenerationFrom(st, maxIters, nil)
 }
 
-// SolveRowGenerationFrom is SolveRowGeneration seeded with a basis from a
-// nearby instance's solve (cross-instance homotopy): the first re-solve
-// projects warm onto the young model — structural variable statuses carry
-// the previous optimum's bound pattern — and every later round chains
-// within the instance as usual. Result.Basis carries the chain onward. A
-// nil or incompatible warm basis degrades to the cold first solve.
+// SolveRowGenerationFrom is SolveRowGeneration seeded with a basis from
+// another solve: the first round starts from warm only where
+// lp.ResolveFrom can seat it dual feasible on the young model (a basis
+// with more rows than that model cannot be), and every later round
+// chains within the instance as usual. Result.Basis carries the chain
+// onward. A nil or unusable warm basis gives the cold first solve.
 func SolveRowGenerationFrom(st *game.State, maxIters int, warm *lp.Basis) (*Result, error) {
 	if maxIters <= 0 {
 		maxIters = 10000

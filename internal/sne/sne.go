@@ -40,9 +40,9 @@ type Result struct {
 
 	// Basis is the optimal LP basis of the final solve (nil for the
 	// non-LP solvers and the dense oracle). Hand it to a warm-startable
-	// solve of a nearby instance (BroadcastLPChain.SolvePrepared, or a
-	// *From variant) to chain cross-instance warm starts (basis
-	// homotopy) through a sweep family.
+	// solve of an instance with the same LP structure
+	// (BroadcastLPChain.SolvePrepared, or a *From variant); lp.ResolveFrom
+	// solves cold from any basis it cannot seat dual feasible.
 	Basis *lp.Basis
 }
 

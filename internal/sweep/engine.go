@@ -182,7 +182,7 @@ func runIndices(sc *Scenario, spec Spec, indices []int, workers, stopAfter int, 
 	errs := make([]error, parallel.Workers(workers))
 	parallel.ForEachChunk(len(indices), workers, func(k, lo, hi int) {
 		rng := rand.New(rand.NewSource(1))
-		// Per-worker carry for chained scenarios (basis homotopy): starts
+		// Per-worker carry for chained scenarios (warm starts): starts
 		// nil each chunk, flows instance to instance within the chunk.
 		var carry any
 		for _, idx := range indices[lo:hi] {

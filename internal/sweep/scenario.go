@@ -30,7 +30,7 @@ type Scenario struct {
 
 	// RunChained (optional) is Run plus an opaque carry value threaded
 	// through the consecutive instances one worker executes — the hook
-	// cross-instance warm starts (LP basis homotopy) ride on. carry is
+	// warm starts (an LP chain's basis) ride on. carry is
 	// nil for a worker's first instance; the returned carry reaches the
 	// next instance on the same worker and is dropped at chunk
 	// boundaries. The carry must be an accelerator only: any output field

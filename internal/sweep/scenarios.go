@@ -170,15 +170,17 @@ func posSwapScenario() *Scenario {
 // tree: every LP has identical variables and coefficients and only its
 // right-hand sides move — the "same network, drifting deviation prices"
 // family of the Balcan–Pozzi–Sharma subsidy-learning direction, and the
-// exact compatibility class basis homotopy is strongest on. spread is
-// ignored.
+// only family warm starts help. spread is ignored.
 //
-// warm (default 0) — when nonzero each worker chains its LP solves
-// through one sne.BroadcastLPChain: instance k warm starts from instance
-// k−1's optimal basis (lp.Basis homotopy). The optimum — every cost
-// column — is unchanged, but the pivot-count column then depends on the
-// chain, i.e. on the shard layout; leave warm off wherever byte-identical
-// output across layouts matters (the goldens and the resume differential
+// warm (default 0) — when nonzero each worker solves through one
+// sne.BroadcastLPChain (SolveNearby): instance k warm starts from
+// instance k−1's optimal basis only when both have exactly the same LP
+// structure, which on this scenario means the jitter family; any other
+// instance solves cold, so a non-jitter run prints the warm=0 table byte
+// for byte. On the jitter family the optimum — every cost column — is
+// unchanged, but the pivot-count column then depends on the chain, i.e.
+// on the shard layout; leave warm off wherever byte-identical output
+// across layouts matters (the goldens and the resume differential
 // harness run warm=0, and TestSweepSNELPWarmMatchesCold pins warm to
 // cold on everything but pivots).
 func sneLPScenario() *Scenario {
@@ -228,7 +230,7 @@ func sneLPScenario() *Scenario {
 			if chain == nil {
 				chain = sne.NewBroadcastLPChain()
 			}
-			res, err = chain.Solve(st)
+			res, _, err = chain.SolveNearby(st)
 			next = chain
 		} else {
 			res, err = sne.SolveBroadcastLP(st)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestSweepSNELPWarmMatchesCold pins the basis-homotopy chain to the cold
+// TestSweepSNELPWarmMatchesCold pins the warm-start chain to the cold
 // path: on a jittered nearby-instance family, a warm (chained) serial run
 // must produce the same table as the cold run in every column except the
 // pivot counts — the optimum is the optimum no matter which basis the
@@ -39,6 +39,36 @@ func TestSweepSNELPWarmMatchesCold(t *testing.T) {
 					i, c, cold.Headers[c], cold.Rows[i][c], hot.Rows[i][c])
 			}
 		}
+	}
+}
+
+// TestSweepSNELPWarmUnrelatedIsCold: on the default (non-jitter) family
+// every instance is a different graph, so the warm chain never finds the
+// structure it last solved and each instance solves cold. The warm=1
+// table must then equal the warm=0 table byte for byte, pivot column
+// included: no basis crosses from one unrelated graph to the next.
+func TestSweepSNELPWarmUnrelatedIsCold(t *testing.T) {
+	spec := func(warm float64) Spec {
+		return Spec{Scenario: "sne-lp", Seed: 1, Count: 300, Size: 48,
+			Params: map[string]float64{"spread": 1, "warm": warm}}
+	}
+	render := func(s Spec) string {
+		tb, err := RunSerial(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		tb.Render(&sb)
+		return sb.String()
+	}
+	cold, warm := strings.Split(render(spec(0)), "\n"), strings.Split(render(spec(1)), "\n")
+	for i := range cold {
+		if i >= len(warm) || cold[i] != warm[i] {
+			t.Fatalf("warm=1 table differs from warm=0 at line %d:\n%q\nvs\n%q", i, warm[min(i, len(warm)-1)], cold[i])
+		}
+	}
+	if len(warm) != len(cold) {
+		t.Fatalf("warm=1 table has %d lines, warm=0 %d", len(warm), len(cold))
 	}
 }
 
